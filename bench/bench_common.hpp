@@ -25,8 +25,8 @@ inline core::ExperimentOptions scaled_options() {
 inline void print_header(const char* what) {
   std::printf("================================================================\n");
   std::printf("%s\n", what);
-  std::printf("(synthetic substrate — compare trends/shape with the paper,\n");
-  std::printf(" not absolute values; see EXPERIMENTS.md)\n");
+  std::printf("(synthetic substrate: simulated backbones, LaMP-style data and\n");
+  std::printf(" device noise — compare trends/shape with the paper, not values)\n");
   std::printf("================================================================\n");
 }
 

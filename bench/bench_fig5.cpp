@@ -29,7 +29,7 @@ void BM_CrossbarRetrieval(benchmark::State& state) {
   acc.store(make_keys(n_keys, rng), store_rng);
   const Matrix q = Matrix::randn(1, kKeyLen, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(acc.query(q));
+    benchmark::DoNotOptimize(acc.query_batch(q));
   }
   state.SetComplexityN(state.range(0));
 }

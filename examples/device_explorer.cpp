@@ -60,7 +60,7 @@ int main() {
       Matrix q = keys.row_slice(target, target + 1);
       for (std::size_t i = 0; i < q.size(); ++i)
         q.at_flat(i) += static_cast<float>(qr.normal(0.0, 0.2));
-      const Matrix s = acc.query(q);
+      const Matrix s = acc.query_batch(q);
       std::size_t best = 0;
       for (std::size_t i = 1; i < 12; ++i)
         if (s(0, i) > s(0, best)) best = i;

@@ -9,8 +9,8 @@ namespace nvcim::cim {
 
 /// A bank of subarrays holding a key matrix for in-memory similarity search:
 /// keys are stored column-wise (Kᵀ, shape len×n_keys) across a grid of
-/// 384×128 tiles, and query(x) computes x·Kᵀ — one inner product per stored
-/// key — entirely through the noisy crossbar MVMs.
+/// 384×128 tiles, and query_batch(x) computes x·Kᵀ — one inner product per
+/// stored key — entirely through the noisy crossbar MVMs.
 class Accelerator {
  public:
   Accelerator(CrossbarConfig cfg, nvm::VariationModel var, ProgramOptions opts = {})
@@ -36,18 +36,12 @@ class Accelerator {
   /// Program `keys` (n × len, one key per row) into columns
   /// [col_begin, col_begin + n). Requires init_mutable() and enough
   /// capacity (grow first with ensure_capacity()). Reprogramming an
-  /// occupied column overwrites it.
+  /// occupied column overwrites it. All keys are quantized once, then every
+  /// touched (subarray, tile) is visited once and its column span programmed
+  /// in one Crossbar::program_columns call. Each column draws from its own
+  /// (subarray, column)-derived stream, so programming a span at once or
+  /// one key at a time yields bit-identical cells (property-tested).
   void program_keys(const Matrix& keys, std::size_t col_begin);
-
-  /// program_keys() restructured tile-major: all keys are quantized once,
-  /// then every touched (subarray, tile) is visited exactly once and its
-  /// whole column span programmed in one Crossbar::program_columns call —
-  /// hoisting the per-key segment rebuild, the per-(key, subarray) stream
-  /// construction and the per-call validation out of the inner loop. Each
-  /// column still draws from the same (subarray, column)-derived stream, so
-  /// the programmed cells are bit-identical to program_keys()
-  /// (property-tested); this is the admission/build fast path.
-  void program_keys_batched(const Matrix& keys, std::size_t col_begin);
 
   /// Grow capacity to at least `n_cols` key columns by appending blank
   /// column subarrays. Existing columns (cells, scales) are untouched.
@@ -55,13 +49,9 @@ class Accelerator {
 
   bool mutable_mode() const { return mutable_mode_; }
 
-  /// Inner products of the 1×len query against every stored key (1×n_keys),
-  /// computed via crossbar MVM; result is dequantized back to float scale.
-  Matrix query(const Matrix& x);
-
-  /// Batched variant: B×len queries → B×n_keys scores in one pass over the
-  /// tile grid (B queries per MVM activation instead of one). Row b equals
-  /// query(x.row(b)) bit-for-bit; the win is wall-clock, not semantics.
+  /// Inner products of B×len queries against every stored key (B×n_keys),
+  /// computed via crossbar MVM in one pass over the tile grid and dequantized
+  /// back to float scale. Row b equals query_batch(x.row(b)) bit-for-bit.
   Matrix query_batch(const Matrix& x);
 
   /// Reusable buffers for query_batch_into(): the column slice of the query

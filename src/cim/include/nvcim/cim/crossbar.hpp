@@ -24,18 +24,6 @@ struct CrossbarConfig {
   std::size_t adc_bits = 8;     ///< 0 = ideal (no ADC quantization)
   bool differential = true;     ///< signed values as G+ − G− cell pairs
 
-  /// Opt-in fast path: the fused MVM kernel accumulates in float32 instead
-  /// of float64. Roughly halves the accumulator bandwidth (and doubles SIMD
-  /// lane count) at the cost of exactness — results are validated against
-  /// the exact path within tolerance, not bit-identical.
-  bool fast_accumulate = false;
-
-  /// Run the legacy two-plane kernel (the pre-fusion implementation) on
-  /// plane-separated storage. Kept for bit-identity property tests and as an
-  /// in-situ perf baseline for benches; costs one extra copy of the cell
-  /// planes, so leave it off in production configs.
-  bool reference_kernel = false;
-
   std::size_t levels() const { return 1ull << bits_per_cell; }
   std::size_t n_slices() const {
     const std::size_t magnitude_bits = value_bits - (differential ? 1 : 0);
@@ -57,6 +45,8 @@ struct ProgramOptions {
 /// exactly zero are elided by the simulator (their contribution is exactly
 /// zero), but the counters still advance as if the plane had been activated,
 /// so cost accounting is independent of which simulation shortcuts fire.
+/// One MVM of B queries over S slices and P polarities (2 when differential)
+/// adds B·S·P activations and S·P·(computed query-column pairs) conversions.
 struct OpCounters {
   std::size_t subarray_activations = 0;  ///< one slice-plane MVM each
   std::size_t adc_conversions = 0;
@@ -102,48 +92,36 @@ class Crossbar {
   /// Allocate an unprogrammed active_rows×active_cols region: every cell is
   /// exactly zero (it was never pulsed), so unprogrammed columns contribute
   /// exactly zero to the MVM. The entry point of the mutable (lifecycle)
-  /// storage path — columns are then programmed individually.
+  /// storage path — columns are then programmed with program_columns().
   void init_blank(std::size_t active_rows, std::size_t active_cols);
 
-  /// (Re)program one column in place. `int_values` is a 1×active_rows row
-  /// vector of exact integers. The caller owns the noise stream: passing a
-  /// per-(subarray, column) derived Rng makes the programmed cells a pure
-  /// function of (position, values, stream) — independent of programming
-  /// order and of every other column — which is what keeps untouched
+  /// (Re)program the columns [col_begin, col_begin + n) in place, in one
+  /// visit. `int_values` is n×active_rows (row j holds column col_begin + j's
+  /// exact integer values) and `rngs` points at n per-column noise streams,
+  /// one per column in span order. Each column's cells draw from its own
+  /// stream in row-ascending order, so passing per-(subarray, column)
+  /// derived streams makes the programmed cells a pure function of
+  /// (position, values, stream) — independent of programming order, of span
+  /// composition and of every other column. That is what keeps untouched
   /// columns bit-identical across admits and lets an incremental program
   /// reproduce a from-scratch one exactly. Other columns' cells are not
   /// touched. `verify_mask` is not supported on this path.
-  void program_column(const Matrix& int_values, std::size_t col,
-                      const nvm::VariationModel& var, Rng& rng,
-                      const ProgramOptions& opts = {});
-
-  /// Program a span of columns [col_begin, col_begin + n) in one visit.
-  /// `int_values` is n×active_rows (row j holds column col_begin + j's
-  /// integer values) and `rngs` points at n per-column noise streams, one
-  /// per column in span order. Bit-identical to n program_column() calls
-  /// with the same streams — each column's cells draw from its own stream
-  /// in the same row-ascending order — but the geometry checks, value-range
-  /// validation and per-call overhead are paid once per span instead of
-  /// once per column. The write-behind admission path programs whole
-  /// per-subarray batches through this.
   void program_columns(const Matrix& int_values, std::size_t col_begin,
                        const nvm::VariationModel& var, Rng* rngs,
                        const ProgramOptions& opts = {});
 
-  /// y = x · W for x of shape m×r (r = programmed rows). Returns m×c in the
-  /// stored-integer scale. Non-const: accumulates op counters.
+  /// y = x · W for x of shape B×r (r = programmed rows): matvec_batch_into()
+  /// into a fresh B×c matrix in the stored-integer scale.
   Matrix matvec(const Matrix& x);
 
-  /// Batched y = x · W with identical semantics (and bit-identical results:
-  /// the per-accumulator addition order over rows is preserved) but a fused
-  /// cache-friendly kernel — per slice plane, each input row streams across
-  /// the interleaved [G+ G−] cells into adjacent per-column accumulators in
-  /// one unit-stride pass, so one sweep serves both polarities of all B
-  /// queries. Counters advance exactly as B calls to matvec would.
-  Matrix matvec_batch(const Matrix& x);
-
-  /// matvec_batch() written into caller storage — allocation-free once `y`
-  /// is warm. Bit-identical to matvec_batch().
+  /// y = x · W through the fused slice kernel, written into caller storage —
+  /// allocation-free once `y` is warm. Non-const: accumulates op counters.
+  /// Per slice plane, each input row streams across the interleaved [G+ G−]
+  /// cells into per-column double accumulators in one unit-stride pass, so
+  /// one sweep serves both polarities of all B queries. Every accumulator
+  /// sums rows in ascending order from zero and each output receives its
+  /// per-slice contributions in ascending slice order, so row b of a batch
+  /// is bit-identical to a one-row call on x.row(b).
   ///
   /// With `candidates`, only output columns whose candidate bit is set (for
   /// some query of the kernel's 4-query register tile) are computed; an
@@ -157,15 +135,10 @@ class Crossbar {
   /// value when a candidate shares its block — callers must argmax over
   /// candidates only. ADC-conversion counters advance only
   /// for computed (query, column) pairs, so pruning is visible in the cost
-  /// model; subarray activations still follow the input-side schedule. The
-  /// legacy reference kernel ignores the mask (it exists as the full-compute
-  /// baseline).
+  /// model; subarray activations still follow the input-side schedule.
   void matvec_batch_into(const Matrix& x, Matrix& y,
                          const CandidateSet* candidates = nullptr,
                          std::size_t col_offset = 0);
-
-  /// Ideal (noise-free, ADC-free) reference of the programmed content.
-  const Matrix& programmed_reference() const { return reference_; }
 
   /// Cell-wise readback of the stored values: reconstructs each integer from
   /// its (noisy) analog slice levels. This models reading a payload matrix
@@ -227,16 +200,13 @@ class Crossbar {
   ColumnProbe probe_column(std::size_t col, double eps = 1e-6) const;
 
  private:
-  /// Pin one flat cell index at `level`, keeping slice-zero flags and the
-  /// reference-kernel planes consistent with the clamped value.
+  /// Pin one flat cell index at `level`, keeping the slice-zero flags
+  /// consistent with the clamped value.
   void clamp_cell(std::size_t idx, float level);
 
-  double adc_quantize(double analog, double full_scale) const;
-
   /// Program every slice (both polarities) of cell (r, c) with value `v`,
-  /// drawing noise from `rng`. Shared by whole-matrix and per-column
-  /// programming so the two paths are cell-for-cell identical given the
-  /// same streams.
+  /// drawing noise from `rng`. Shared by whole-matrix and column programming
+  /// so the two paths are cell-for-cell identical given the same streams.
   void program_cell_slices(std::size_t r, std::size_t c, long v, const nvm::VariationModel& var,
                            Rng& rng, const ProgramOptions& opts, bool verify);
 
@@ -244,12 +214,8 @@ class Crossbar {
   std::size_t row_stride() const { return active_cols_ * pitch(); }
   std::size_t slice_stride() const { return active_rows_ * row_stride(); }
 
-  template <typename Acc>
   void fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* candidates,
                     std::size_t col_offset);
-
-  Matrix matvec_reference(const Matrix& x);
-  Matrix matvec_batch_reference(const Matrix& x);
 
   CrossbarConfig cfg_;
   /// Interleaved analog cell levels (0..levels-1 plus noise): slice-major,
@@ -257,10 +223,6 @@ class Crossbar {
   std::vector<float> cells_;
   std::vector<double> slice_shift_;        ///< 2^(s·bits_per_cell)
   std::vector<std::uint8_t> slice_zero_;   ///< slice plane is exactly all-zero
-  /// Legacy plane-separated storage, populated only with reference_kernel.
-  std::vector<Matrix> pos_planes_;
-  std::vector<Matrix> neg_planes_;
-  Matrix reference_;
   std::size_t active_rows_ = 0;
   std::size_t active_cols_ = 0;
   OpCounters counters_;

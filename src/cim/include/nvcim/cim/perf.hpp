@@ -10,9 +10,11 @@ namespace nvcim::cim {
 /// First-order analytical latency/energy model in the spirit of
 /// DNN+NeuroSim v2.0 at the 22 nm node. Constants are calibrated so that the
 /// CiM-vs-CPU improvement envelope matches the paper's reported "up to 120×
-/// latency / 60× energy vs Jetson Orin CPU" (see EXPERIMENTS.md); the model
-/// captures the first-order terms — subarray read time, ADC cost, peripheral
-/// overhead, bank-level parallelism — not circuit-level detail.
+/// latency / 60× energy vs Jetson Orin CPU", so reproducing that envelope
+/// (bench_fig5) is a consistency check of the calibration, not independent
+/// evidence; the model captures the first-order terms — subarray read time,
+/// ADC cost, peripheral overhead, bank-level parallelism — not circuit-level
+/// detail.
 struct CimPerfParams {
   std::string name;
   double t_subarray_ns = 60.0;     ///< one slice-plane MVM (DAC+array+ADC pipeline)

@@ -7,6 +7,24 @@
 
 namespace nvcim::cim {
 
+namespace {
+
+/// Keeps the compiler from contracting `x` into the add or subtract that
+/// consumes it (an FMA). In the ADC fold, contracting one polarity's scaled
+/// code into the polarity subtraction turns equal codes' exact 0 into a
+/// rounding residue, so results would depend on the build type and on the
+/// host's FMA support.
+inline double no_contract(double x) {
+#if defined(__has_builtin)
+#if __has_builtin(__builtin_assoc_barrier)
+  return __builtin_assoc_barrier(x);
+#endif
+#endif
+  return x;
+}
+
+}  // namespace
+
 void Crossbar::program_cell_slices(std::size_t r, std::size_t c, long v,
                                    const nvm::VariationModel& var, Rng& rng,
                                    const ProgramOptions& opts, bool verify) {
@@ -53,10 +71,6 @@ void Crossbar::program_cell_slices(std::size_t r, std::size_t c, long v,
       }
     }
     if (cell[0] != 0.0f || (cfg_.differential && cell[1] != 0.0f)) slice_zero_[s] = 0;
-    if (cfg_.reference_kernel) {
-      pos_planes_[s](r, c) = cell[0];
-      if (cfg_.differential) neg_planes_[s](r, c) = cell[1];
-    }
     counters_.cells_programmed += cfg_.differential ? 2 : 1;
   }
 }
@@ -69,7 +83,6 @@ void Crossbar::program(const Matrix& int_values, const nvm::VariationModel& var,
   NVCIM_CHECK_MSG(var.device.n_levels == cfg_.levels(),
                   "device level count must match bits_per_cell");
   init_blank(int_values.rows(), int_values.cols());
-  reference_ = int_values;
 
   const long vmax = qmax_for_bits(static_cast<int>(cfg_.value_bits));
   for (std::size_t r = 0; r < active_rows_; ++r) {
@@ -109,38 +122,6 @@ void Crossbar::init_blank(std::size_t active_rows, std::size_t active_cols) {
   stuck_.clear();
   killed_ = false;
   age_ = 0;
-  reference_ = Matrix(active_rows_, active_cols_, 0.0f);
-  if (cfg_.reference_kernel) {
-    pos_planes_.assign(S, Matrix(active_rows_, active_cols_, 0.0f));
-    neg_planes_.assign(S, Matrix(active_rows_, active_cols_, 0.0f));
-  } else {
-    pos_planes_.clear();
-    neg_planes_.clear();
-  }
-}
-
-void Crossbar::program_column(const Matrix& int_values, std::size_t col,
-                              const nvm::VariationModel& var, Rng& rng,
-                              const ProgramOptions& opts) {
-  NVCIM_CHECK_MSG(active_rows_ > 0, "crossbar region not initialized");
-  NVCIM_CHECK_MSG(col < active_cols_, "column " << col << " out of range");
-  NVCIM_CHECK_MSG(int_values.rows() == 1 && int_values.cols() == active_rows_,
-                  "column values must be 1x" << active_rows_);
-  NVCIM_CHECK_MSG(var.device.n_levels == cfg_.levels(),
-                  "device level count must match bits_per_cell");
-  NVCIM_CHECK_MSG(opts.verify_mask == nullptr,
-                  "verify_mask is not supported on the per-column path");
-  const long vmax = qmax_for_bits(static_cast<int>(cfg_.value_bits));
-  const bool verify = opts.verify_tolerance > 0.0;
-  for (std::size_t r = 0; r < active_rows_; ++r) {
-    const double vf = int_values(0, r);
-    NVCIM_CHECK_MSG(std::fabs(vf - std::round(vf)) < 1e-3,
-                    "crossbar expects integer-valued entries");
-    const long v = static_cast<long>(std::llround(vf));
-    NVCIM_CHECK_MSG(std::labs(v) <= vmax, "value " << v << " exceeds int" << cfg_.value_bits);
-    reference_(r, col) = static_cast<float>(v);
-    program_cell_slices(r, col, v, var, rng, opts, verify);
-  }
 }
 
 void Crossbar::program_columns(const Matrix& int_values, std::size_t col_begin,
@@ -172,11 +153,10 @@ void Crossbar::program_columns(const Matrix& int_values, std::size_t col_begin,
   for (std::size_t j = 0; j < n; ++j) {
     const std::size_t col = col_begin + j;
     Rng& rng = rngs[j];
-    // Rows ascending per column, exactly like program_column: a column's
-    // cells are a pure function of (values, position, its own stream).
+    // Rows ascending per column: a column's cells are a pure function of
+    // (values, position, its own stream).
     for (std::size_t r = 0; r < active_rows_; ++r) {
       const long v = static_cast<long>(std::llround(int_values(j, r)));
-      reference_(r, col) = static_cast<float>(v);
       program_cell_slices(r, col, v, var, rng, opts, verify);
     }
   }
@@ -189,16 +169,6 @@ void Crossbar::clamp_cell(std::size_t idx, float level) {
   // A nonzero clamp makes the plane non-elidable; a zero clamp leaves the
   // (conservative) flag alone — the cell really does read zero.
   if (level != 0.0f) slice_zero_[s] = 0;
-  if (cfg_.reference_kernel) {
-    const std::size_t rem = idx % slice_stride();
-    const std::size_t r = rem / row_stride();
-    const std::size_t cp = rem % row_stride();
-    const std::size_t c = cp / pitch();
-    if (cfg_.differential && cp % pitch() == 1)
-      neg_planes_[s](r, c) = level;
-    else
-      pos_planes_[s](r, c) = level;
-  }
 }
 
 std::size_t Crossbar::inject_column_fault(std::size_t col, nvm::FaultKind kind,
@@ -254,12 +224,6 @@ void Crossbar::advance_age(std::uint64_t ticks) {
           if (cells_[idx] == 0.0f) continue;  // zero decays to zero
           if (!stuck_.empty() && stuck_.find(idx) != stuck_.end()) continue;
           cells_[idx] = static_cast<float>(static_cast<double>(cells_[idx]) * f);
-          if (cfg_.reference_kernel) {
-            if (cfg_.differential && p == 1)
-              neg_planes_[s](r, c) = cells_[idx];
-            else
-              pos_planes_[s](r, c) = cells_[idx];
-          }
         }
       }
     }
@@ -307,64 +271,14 @@ Matrix Crossbar::read_values() const {
   return out;
 }
 
-double Crossbar::adc_quantize(double analog, double full_scale) const {
-  if (cfg_.adc_bits == 0 || full_scale <= 0.0) return analog;
-  const double n_codes = static_cast<double>((1ull << cfg_.adc_bits) - 1);
-  const double lsb = full_scale / n_codes;
-  return std::round(analog / lsb) * lsb;
-}
-
-Matrix Crossbar::matvec(const Matrix& x) {
-  NVCIM_CHECK_MSG(active_rows_ > 0, "crossbar not programmed");
-  NVCIM_CHECK_MSG(x.cols() == active_rows_, "input width " << x.cols() << " != programmed rows "
-                                                           << active_rows_);
-  if (cfg_.reference_kernel) return matvec_reference(x);
-  const std::size_t S = cfg_.n_slices();
-  const double denorm = static_cast<double>(cfg_.levels() - 1);
-  const std::size_t P = pitch();
-  Matrix y(x.rows(), active_cols_, 0.0f);
-
-  for (std::size_t m = 0; m < x.rows(); ++m) {
-    // ADC full scale: the worst-case column current given this input vector
-    // (Σ|x_i| times the max cell level), per NeuroSim's input-referred model.
-    double abs_in = 0.0;
-    for (std::size_t i = 0; i < x.cols(); ++i) abs_in += std::fabs(x(m, i));
-    const double full_scale = abs_in * denorm;
-
-    for (std::size_t s = 0; s < S; ++s) {
-      const double shift = slice_shift_[s];
-      counters_.subarray_activations += P;
-      counters_.adc_conversions += P * active_cols_;
-      if (slice_zero_[s]) continue;  // contributes exactly zero
-      const float* plane = cells_.data() + s * slice_stride();
-      for (std::size_t c = 0; c < active_cols_; ++c) {
-        double acc_pos = 0.0, acc_neg = 0.0;
-        const float* cell = plane + c * P;
-        for (std::size_t r = 0; r < active_rows_; ++r, cell += row_stride()) {
-          acc_pos += static_cast<double>(x(m, r)) * cell[0];
-          if (cfg_.differential) acc_neg += static_cast<double>(x(m, r)) * cell[1];
-        }
-        const double v =
-            adc_quantize(acc_pos, full_scale) - adc_quantize(acc_neg, full_scale);
-        y(m, c) += static_cast<float>(shift * v);
-      }
-    }
-  }
-  return y;
-}
-
-/// Fused slice kernel shared by the exact (double) and FastAccumulate
-/// (float) paths, iterated slice-major with register/L1 blocking: each
-/// slice's interleaved [G+ G−] plane is swept once per query tile (the
-/// legacy kernel re-streamed all S planes per query), feeding a resident
-/// kTile×kBlk accumulator block, then one ADC/shift pass with a hoisted
-/// per-query LSB folds the block into the output rows. Bit-identity with
-/// the legacy kernel holds because (a) every accumulator element still sums
-/// rows r = 0..R-1 in ascending order starting from zero, and (b) each
-/// output element still receives its per-slice contributions in ascending
-/// slice order — only the interleaving of independent (query, column)
-/// partial sums changed.
-template <typename Acc>
+/// The crossbar MVM, iterated slice-major with register/L1 blocking: each
+/// slice's interleaved [G+ G−] plane is swept once per query tile, feeding a
+/// resident kTile×kBlk double accumulator block, then one ADC/shift pass with
+/// a hoisted per-query LSB folds the block into the output rows. Results are
+/// independent of the batch shape because (a) every accumulator element sums
+/// rows r = 0..R-1 in ascending order starting from zero, and (b) each output
+/// element receives its per-slice contributions in ascending slice order —
+/// tiling only interleaves independent (query, column) partial sums.
 void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* candidates,
                             std::size_t col_offset) {
   const std::size_t S = cfg_.n_slices();
@@ -375,8 +289,7 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* cand
 
   // ADC full scale per query row: the worst-case column current given that
   // input vector (Σ|x_i| times the max cell level), per NeuroSim's
-  // input-referred model. The LSB (full_scale / n_codes) is hoisted here —
-  // identical operands to the per-element adc_quantize() computation.
+  // input-referred model. The LSB (full_scale / n_codes) is hoisted here.
   fullscale_.resize(B);
   lsb_.resize(B);
   const bool adc_on = cfg_.adc_bits != 0;
@@ -397,9 +310,7 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* cand
   // queries' FMAs, and each pass reads a kBlk-wide column stripe of the
   // plane exactly once. Iteration order over (query, column block) changes
   // only WHICH element's sum is formed when; every accumulator element
-  // still sums rows r = 0..R-1 in ascending order starting from zero,
-  // exactly as the legacy kernel's std::fill + accumulate — so results are
-  // bit-identical.
+  // still sums rows r = 0..R-1 in ascending order starting from zero.
   constexpr std::size_t kTile = 4;
   constexpr std::size_t kBlk = kAccumulatorLanes;
   const std::size_t rows = active_rows_;
@@ -440,22 +351,21 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* cand
   counters_.adc_conversions += S * P * computed_cols;
 
   // ADC + shift fold of one query's accumulator block into its output row.
-  const auto fold = [&](std::size_t m, const Acc* bt, std::size_t k0, std::size_t kb,
+  const auto fold = [&](std::size_t m, const double* bt, std::size_t k0, std::size_t kb,
                         double shift) {
     const double lsb = lsb_[m];
     const auto quantize = [lsb](double analog) {
-      return lsb > 0.0 ? std::round(analog / lsb) * lsb : analog;
+      return lsb > 0.0 ? no_contract(std::round(analog / lsb) * lsb) : analog;
     };
     float* yrow = y.data() + m * active_cols_;
     if (cfg_.differential) {
       for (std::size_t j = 0; j < kb; j += 2) {
-        const double v = quantize(static_cast<double>(bt[j])) -
-                         quantize(static_cast<double>(bt[j + 1]));
+        const double v = quantize(bt[j]) - quantize(bt[j + 1]);
         yrow[(k0 + j) / 2] += static_cast<float>(shift * v);
       }
     } else {
       for (std::size_t j = 0; j < kb; ++j)
-        yrow[k0 + j] += static_cast<float>(shift * quantize(static_cast<double>(bt[j])));
+        yrow[k0 + j] += static_cast<float>(shift * quantize(bt[j]));
     }
   };
 
@@ -474,13 +384,12 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* cand
         const bool n0 = need(m0 + 0, k0), n1 = need(m0 + 1, k0);
         const bool n2 = need(m0 + 2, k0), n3 = need(m0 + 3, k0);
         if (!(n0 || n1 || n2 || n3)) continue;  // no candidate in this block
-        Acc b0[kBlk] = {}, b1[kBlk] = {}, b2[kBlk] = {}, b3[kBlk] = {};
+        double b0[kBlk] = {}, b1[kBlk] = {}, b2[kBlk] = {}, b3[kBlk] = {};
         const float* col = plane + k0;
         for (std::size_t r = 0; r < rows; ++r, col += lane) {
-          const Acc v0 = static_cast<Acc>(x0[r]), v1 = static_cast<Acc>(x1[r]);
-          const Acc v2 = static_cast<Acc>(x2[r]), v3 = static_cast<Acc>(x3[r]);
+          const double v0 = x0[r], v1 = x1[r], v2 = x2[r], v3 = x3[r];
           for (std::size_t j = 0; j < kBlk; ++j) {
-            const Acc p = static_cast<Acc>(col[j]);
+            const double p = col[j];
             b0[j] += v0 * p;
             b1[j] += v1 * p;
             b2[j] += v2 * p;
@@ -497,13 +406,12 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* cand
         const bool n2 = need(m0 + 2, k0), n3 = need(m0 + 3, k0);
         if (!(n0 || n1 || n2 || n3)) continue;
         const std::size_t kb = lane - k0;
-        Acc b0[kBlk] = {}, b1[kBlk] = {}, b2[kBlk] = {}, b3[kBlk] = {};
+        double b0[kBlk] = {}, b1[kBlk] = {}, b2[kBlk] = {}, b3[kBlk] = {};
         const float* col = plane + k0;
         for (std::size_t r = 0; r < rows; ++r, col += lane) {
-          const Acc v0 = static_cast<Acc>(x0[r]), v1 = static_cast<Acc>(x1[r]);
-          const Acc v2 = static_cast<Acc>(x2[r]), v3 = static_cast<Acc>(x3[r]);
+          const double v0 = x0[r], v1 = x1[r], v2 = x2[r], v3 = x3[r];
           for (std::size_t j = 0; j < kb; ++j) {
-            const Acc p = static_cast<Acc>(col[j]);
+            const double p = col[j];
             b0[j] += v0 * p;
             b1[j] += v1 * p;
             b2[j] += v2 * p;
@@ -521,11 +429,11 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* cand
       for (std::size_t k0 = 0; k0 < lane; k0 += kBlk) {
         if (!need(m0, k0)) continue;
         const std::size_t kb = std::min(kBlk, lane - k0);
-        Acc b0[kBlk] = {};
+        double b0[kBlk] = {};
         const float* col = plane + k0;
         for (std::size_t r = 0; r < rows; ++r, col += lane) {
-          const Acc v0 = static_cast<Acc>(xq[r]);
-          for (std::size_t j = 0; j < kb; ++j) b0[j] += v0 * static_cast<Acc>(col[j]);
+          const double v0 = xq[r];
+          for (std::size_t j = 0; j < kb; ++j) b0[j] += v0 * col[j];
         }
         fold(m0, b0, k0, kb, shift);
       }
@@ -547,95 +455,14 @@ void Crossbar::matvec_batch_into(const Matrix& x, Matrix& y, const CandidateSet*
     // against an earlier epoch. Columns beyond n_keys are simply never
     // candidates (they belong to users admitted after the batch pinned).
   }
-  if (cfg_.reference_kernel) {
-    y = matvec_batch_reference(x);  // full-compute baseline: mask ignored
-    return;
-  }
   y.resize(x.rows(), active_cols_);
   y.fill(0.0f);
-  if (cfg_.fast_accumulate)
-    fused_matvec<float>(x, y, candidates, col_offset);
-  else
-    fused_matvec<double>(x, y, candidates, col_offset);
+  fused_matvec(x, y, candidates, col_offset);
 }
 
-Matrix Crossbar::matvec_batch(const Matrix& x) {
+Matrix Crossbar::matvec(const Matrix& x) {
   Matrix y;
   matvec_batch_into(x, y);
-  return y;
-}
-
-// ---------------------------------------------------------------------------
-// Legacy (pre-fusion) kernels, selected by CrossbarConfig::reference_kernel.
-// These run on the plane-separated storage exactly as before the interleaved
-// layout landed: std::pow per slice, std::fill per accumulator pass, and two
-// separate polarity loops. They exist as the comparator for bit-identity
-// property tests and as the in-situ perf baseline for benches.
-// ---------------------------------------------------------------------------
-
-Matrix Crossbar::matvec_reference(const Matrix& x) {
-  const std::size_t S = cfg_.n_slices();
-  const double denorm = static_cast<double>(cfg_.levels() - 1);
-  Matrix y(x.rows(), active_cols_, 0.0f);
-
-  for (std::size_t m = 0; m < x.rows(); ++m) {
-    double abs_in = 0.0;
-    for (std::size_t i = 0; i < x.cols(); ++i) abs_in += std::fabs(x(m, i));
-    const double full_scale = abs_in * denorm;
-
-    for (std::size_t s = 0; s < S; ++s) {
-      const double shift = std::pow(2.0, static_cast<double>(s * cfg_.bits_per_cell));
-      counters_.subarray_activations += cfg_.differential ? 2 : 1;
-      for (std::size_t c = 0; c < active_cols_; ++c) {
-        double acc_pos = 0.0, acc_neg = 0.0;
-        for (std::size_t r = 0; r < active_rows_; ++r) {
-          acc_pos += static_cast<double>(x(m, r)) * pos_planes_[s](r, c);
-          if (cfg_.differential) acc_neg += static_cast<double>(x(m, r)) * neg_planes_[s](r, c);
-        }
-        counters_.adc_conversions += cfg_.differential ? 2 : 1;
-        const double v =
-            adc_quantize(acc_pos, full_scale) - adc_quantize(acc_neg, full_scale);
-        y(m, c) += static_cast<float>(shift * v);
-      }
-    }
-  }
-  return y;
-}
-
-Matrix Crossbar::matvec_batch_reference(const Matrix& x) {
-  const std::size_t S = cfg_.n_slices();
-  const double denorm = static_cast<double>(cfg_.levels() - 1);
-  Matrix y(x.rows(), active_cols_, 0.0f);
-  std::vector<double> acc_pos(active_cols_), acc_neg(active_cols_);
-
-  for (std::size_t m = 0; m < x.rows(); ++m) {
-    const float* xrow = x.data() + m * x.cols();
-    double abs_in = 0.0;
-    for (std::size_t i = 0; i < x.cols(); ++i) abs_in += std::fabs(xrow[i]);
-    const double full_scale = abs_in * denorm;
-
-    for (std::size_t s = 0; s < S; ++s) {
-      const double shift = std::pow(2.0, static_cast<double>(s * cfg_.bits_per_cell));
-      counters_.subarray_activations += cfg_.differential ? 2 : 1;
-      std::fill(acc_pos.begin(), acc_pos.end(), 0.0);
-      if (cfg_.differential) std::fill(acc_neg.begin(), acc_neg.end(), 0.0);
-      for (std::size_t r = 0; r < active_rows_; ++r) {
-        const double xv = xrow[r];
-        const float* prow = pos_planes_[s].data() + r * active_cols_;
-        for (std::size_t c = 0; c < active_cols_; ++c) acc_pos[c] += xv * prow[c];
-        if (cfg_.differential) {
-          const float* nrow = neg_planes_[s].data() + r * active_cols_;
-          for (std::size_t c = 0; c < active_cols_; ++c) acc_neg[c] += xv * nrow[c];
-        }
-      }
-      for (std::size_t c = 0; c < active_cols_; ++c) {
-        counters_.adc_conversions += cfg_.differential ? 2 : 1;
-        const double neg = cfg_.differential ? adc_quantize(acc_neg[c], full_scale) : 0.0;
-        const double v = adc_quantize(acc_pos[c], full_scale) - neg;
-        y(m, c) += static_cast<float>(shift * v);
-      }
-    }
-  }
   return y;
 }
 

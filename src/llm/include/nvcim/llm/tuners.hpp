@@ -18,7 +18,7 @@ using PerturbFn = std::function<Matrix(const Matrix& tokens, Rng& rng)>;
 /// Note on the learning rate: the paper tunes HuggingFace PT at 1e-4 on
 /// billion-parameter models; our from-scratch tiny backbones need a larger
 /// step to converge within an edge-style budget, so the default is 5e-2
-/// (Adam, cosine decay). Documented in EXPERIMENTS.md.
+/// (Adam, cosine decay).
 struct TunerConfig {
   std::size_t n_virtual_tokens = 8;
   std::size_t steps = 60;

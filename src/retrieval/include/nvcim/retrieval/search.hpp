@@ -38,11 +38,6 @@ class CimRetriever {
     cim::CrossbarConfig crossbar;
     nvm::VariationModel variation;
     cim::ProgramOptions program;
-    /// Route program_keys() through the tile-major batched programming
-    /// primitive (Accelerator::program_keys_batched). Bit-identical to the
-    /// column-at-a-time path — kept as a toggle for A/B benches and the
-    /// bit-identity property tests.
-    bool batched_programming = true;
   };
 
   explicit CimRetriever(Config cfg) : cfg_(std::move(cfg)) {}
@@ -70,9 +65,10 @@ class CimRetriever {
 
   bool mutable_mode() const { return mutable_mode_; }
 
-  /// Similarity score of the query against every stored key.
+  /// Similarity score of one query against every stored key (1×n_keys):
+  /// scores_batch() on the flattened query.
   Matrix scores(const Matrix& query);
-  /// Index of the best-scoring key.
+  /// Index of the best-scoring key: retrieve_batch() on the flattened query.
   std::size_t retrieve(const Matrix& query);
 
   /// Batched scores: each row of `queries` (B×key_size, flattened queries)

@@ -112,12 +112,7 @@ void CimRetriever::program_keys(std::size_t col_begin, const std::vector<Matrix>
     Matrix pooled(keys.size(), pooled_len);
     for (std::size_t i = 0; i < keys.size(); ++i)
       pooled.set_row(i, average_pool_flat(keys[i], scale));
-    // Same pooled values, same per-column streams either way — the batched
-    // path is a wall-clock rewrite, not a semantic one (property-tested).
-    if (cfg_.batched_programming)
-      banks_[b]->program_keys_batched(pooled, col_begin);
-    else
-      banks_[b]->program_keys(pooled, col_begin);
+    banks_[b]->program_keys(pooled, col_begin);
   }
 }
 
@@ -127,21 +122,7 @@ void CimRetriever::ensure_capacity(std::size_t n) {
   n_keys_ = banks_[0]->n_keys();
 }
 
-Matrix CimRetriever::scores(const Matrix& query) {
-  NVCIM_CHECK_MSG(!banks_.empty(), "no keys stored");
-  NVCIM_CHECK_MSG(query.size() == key_size_, "query size " << query.size()
-                                                           << " != key size " << key_size_);
-  Matrix total(1, n_keys_, 0.0f);
-  float weight_sum = 0.0f;
-  for (std::size_t b = 0; b < banks_.size(); ++b) {
-    const Matrix pooled = average_pool_flat(query, bank_scales_[b]);
-    const Matrix s = banks_[b]->query(pooled);
-    total.add_scaled(s, bank_weights_[b]);
-    weight_sum += bank_weights_[b];
-  }
-  total *= 1.0f / weight_sum;
-  return total;
-}
+Matrix CimRetriever::scores(const Matrix& query) { return scores_batch(query.flattened()); }
 
 Matrix CimRetriever::scores_batch(const Matrix& queries) {
   Matrix total;
@@ -197,11 +178,7 @@ Matrix CimRetriever::pack_queries(const std::vector<Matrix>& queries) const {
 }
 
 std::size_t CimRetriever::retrieve(const Matrix& query) {
-  const Matrix s = scores(query);
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < s.cols(); ++i)
-    if (s(0, i) > s(0, best)) best = i;
-  return best;
+  return retrieve_batch(query.flattened())[0];
 }
 
 cim::OpCounters CimRetriever::counters() const {

@@ -16,7 +16,6 @@ retrieval::CimRetriever::Config retriever_config(const OvtStoreConfig& cfg) {
   rcfg.crossbar = cfg.crossbar;
   rcfg.variation = cfg.variation;
   rcfg.program = cfg.program;
-  rcfg.batched_programming = cfg.lifecycle.batched_programming;
   return rcfg;
 }
 

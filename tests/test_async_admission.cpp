@@ -1,11 +1,12 @@
 // Churn fast path (PR 7): batched programming primitives and write-behind
 // admission, overlapped with serving.
 //
-//  - Crossbar::program_columns is cell-for-cell identical to a loop of
-//    program_column calls with the same per-column streams
-//  - Accelerator::program_keys_batched matches program_keys bit-for-bit
-//    (multi-tile geometry, unaligned span, reprogramming included)
-//  - the CimRetriever batched_programming toggle changes nothing observable
+//  - Crossbar::program_columns over a span is cell-for-cell identical to
+//    one single-column program_columns call per column with the same
+//    per-column streams
+//  - Accelerator::program_keys over a span matches programming one key per
+//    call bit-for-bit (multi-tile geometry, unaligned span, reprogramming
+//    included)
 //  - the staged admission protocol (stage → program_span× → commit) matches
 //    a synchronous admit_user bit-identically, with spans executed in ANY
 //    order; staged tenants are Pending (not queryable, not evictable,
@@ -32,7 +33,6 @@
 #include <vector>
 
 #include "nvcim/cim/accelerator.hpp"
-#include "nvcim/retrieval/search.hpp"
 #include "nvcim/serve/engine.hpp"
 
 namespace nvcim {
@@ -63,7 +63,7 @@ TEST(BatchedProgramming, CrossbarSpanMatchesPerColumnCellForCell) {
     Matrix col(1, cfg.rows);
     for (std::size_t r = 0; r < cfg.rows; ++r) col(0, r) = vals(j, r);
     Rng stream = base.split(1000 + j);
-    one_at_a_time.program_column(col, col0 + j, var, stream);
+    one_at_a_time.program_columns(col, col0 + j, var, &stream);
   }
 
   cim::Crossbar span(cfg);
@@ -94,8 +94,8 @@ TEST(BatchedProgramming, AcceleratorBatchedMatchesPerKeyQueries) {
   cim::Accelerator per_key(cfg, var), batched(cfg, var);
   per_key.init_mutable(32, 24, base);
   batched.init_mutable(32, 24, base);
-  per_key.program_keys(keys, 3);
-  batched.program_keys_batched(keys, 3);
+  for (std::size_t j = 0; j < keys.rows(); ++j) per_key.program_keys(keys.row(j), 3 + j);
+  batched.program_keys(keys, 3);
 
   Rng qr(22);
   const Matrix queries = Matrix::randn(4, 32, qr);
@@ -107,13 +107,17 @@ TEST(BatchedProgramming, AcceleratorBatchedMatchesPerKeyQueries) {
 
   // Reprogramming an occupied sub-span stays bit-identical too.
   const Matrix fresh = Matrix::rand_uniform(6, 32, kr, -1.0f, 1.0f);
-  per_key.program_keys(fresh, 7);
-  batched.program_keys_batched(fresh, 7);
+  for (std::size_t j = 0; j < fresh.rows(); ++j) per_key.program_keys(fresh.row(j), 7 + j);
+  batched.program_keys(fresh, 7);
   const Matrix ya2 = per_key.query_batch(queries);
   const Matrix yb2 = batched.query_batch(queries);
   for (std::size_t i = 0; i < ya2.size(); ++i)
     ASSERT_EQ(ya2.at_flat(i), yb2.at_flat(i)) << "flat index " << i;
 }
+
+// ---------------------------------------------------------------------------
+// Store-level staged admission protocol.
+// ---------------------------------------------------------------------------
 
 std::vector<Matrix> random_keys(std::size_t n, std::size_t rows, std::size_t cols, Rng& rng) {
   std::vector<Matrix> keys;
@@ -121,45 +125,6 @@ std::vector<Matrix> random_keys(std::size_t n, std::size_t rows, std::size_t col
     keys.push_back(Matrix::rand_uniform(rows, cols, rng, -1.0f, 1.0f));
   return keys;
 }
-
-retrieval::CimRetriever::Config small_retriever_config(bool batched) {
-  retrieval::CimRetriever::Config cfg;
-  cfg.crossbar.rows = 48;
-  cfg.crossbar.cols = 8;
-  cfg.variation = {nvm::fefet3(), 0.1};
-  cfg.batched_programming = batched;
-  return cfg;
-}
-
-TEST(BatchedProgramming, RetrieverToggleIsUnobservable) {
-  Rng kr(31);
-  const std::vector<Matrix> a = random_keys(6, 4, 8, kr);
-  const std::vector<Matrix> b = random_keys(5, 4, 8, kr);
-  const Rng base(2025);
-
-  retrieval::CimRetriever batched(small_retriever_config(true));
-  retrieval::CimRetriever per_key(small_retriever_config(false));
-  for (retrieval::CimRetriever* r : {&batched, &per_key}) {
-    r->store_mutable(32, 6, base);
-    r->program_keys(0, a);
-    r->ensure_capacity(a.size() + b.size());
-    r->program_keys(a.size(), b);
-  }
-
-  Rng qr(32);
-  const Matrix queries = Matrix::randn(3, 32, qr);
-  retrieval::CimRetriever::Scratch s1, s2;
-  Matrix yb, yp;
-  batched.scores_batch_into(queries, yb, s1);
-  per_key.scores_batch_into(queries, yp, s2);
-  ASSERT_TRUE(yb.same_shape(yp));
-  for (std::size_t i = 0; i < yb.size(); ++i)
-    ASSERT_EQ(yb.at_flat(i), yp.at_flat(i)) << "flat index " << i;
-}
-
-// ---------------------------------------------------------------------------
-// Store-level staged admission protocol.
-// ---------------------------------------------------------------------------
 
 serve::OvtStoreConfig lifecycle_store_config() {
   serve::OvtStoreConfig cfg;

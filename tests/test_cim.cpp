@@ -161,7 +161,7 @@ TEST(Accelerator, MatchesIdealReferenceWithoutNoise) {
   EXPECT_EQ(acc.key_len(), 70u);
   EXPECT_EQ(acc.n_tiles(), 3u);  // ceil(70/32) × ceil(5/16)
   const Matrix q = Matrix::randn(1, 70, rng);
-  const Matrix scores = acc.query(q);
+  const Matrix scores = acc.query_batch(q);
   const Matrix ideal = acc.query_ideal(q);
   EXPECT_TRUE(allclose(scores, ideal, 0.05f, 0.02f));
 }
@@ -178,7 +178,7 @@ TEST(Accelerator, NoisePerturbsButPreservesTopKeyMostly) {
   acc.store(keys, store_rng);
   Matrix q(1, 32, 0.0f);
   for (std::size_t i = 0; i < 8; ++i) q(0, 16 + i) = 1.0f;  // matches key 2
-  const Matrix scores = acc.query(q);
+  const Matrix scores = acc.query_batch(q);
   std::size_t best = 0;
   for (std::size_t i = 1; i < 4; ++i)
     if (scores(0, i) > scores(0, best)) best = i;
@@ -189,8 +189,8 @@ TEST(Accelerator, QueryShapeValidated) {
   Accelerator acc(small_config(), noiseless());
   Rng rng(16);
   acc.store(Matrix::randn(3, 20, rng), rng);
-  EXPECT_THROW(acc.query(Matrix(1, 21, 1.0f)), Error);
-  EXPECT_THROW(acc.query(Matrix(2, 20, 1.0f)), Error);
+  EXPECT_THROW(acc.query_batch(Matrix(1, 21, 1.0f)), Error);
+  EXPECT_THROW(acc.query_batch(Matrix(0, 20)), Error);
 }
 
 TEST(Perf, CimLatencyScalesWithKeys) {
@@ -232,7 +232,7 @@ TEST(Perf, CountersBasedCostMatchesAnalytic) {
   Accelerator acc(cfg, noiseless());
   Rng rng(17);
   acc.store(Matrix::randn(4, 40, rng), rng);
-  acc.query(Matrix::randn(1, 40, rng));
+  acc.query_batch(Matrix::randn(1, 40, rng));
   const auto measured = cim_cost_from_counters(rram_perf_22nm(), cfg, acc.counters());
   EXPECT_GT(measured.latency_ns, 0.0);
   EXPECT_GT(measured.energy_pj, 0.0);

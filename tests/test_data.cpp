@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "nvcim/data/lamp.hpp"
 
 namespace nvcim::data {
+
+// Parameterized test names carry GetParam(); without a printer gtest dumps the
+// raw bytes, which include heap pointers and so change from build to build.
+void PrintTo(const LampConfig& c, std::ostream* os) { *os << c.name; }
+
 namespace {
 
 TEST(LampConfigs, FiveBenchmarks) {

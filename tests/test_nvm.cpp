@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "nvcim/nvm/device.hpp"
 
 namespace nvcim::nvm {
+
+// Parameterized test names carry GetParam(); without a printer gtest dumps the
+// raw bytes, which include heap pointers and so change from build to build.
+void PrintTo(const DeviceModel& d, std::ostream* os) { *os << d.name << " (" << d.paper_id << ")"; }
+
 namespace {
 
 TEST(DeviceModel, TableTwoValuesVerbatim) {

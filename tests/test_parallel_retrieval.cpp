@@ -1,9 +1,9 @@
 // Fused crossbar slice kernel + parallel sharded retrieval (PR 3).
 //
-//  - bit-identity of the fused interleaved kernel against the retained
-//    legacy two-plane reference kernel, across noise/ADC/differential
-//    configurations, including the zero-slice-skip fast path
-//  - tolerance validation of the opt-in FastAccumulate (float32) path
+//  - bit-identity of the fused interleaved kernel against the scalar test
+//    oracle (crossbar_oracle.hpp), across noise/ADC/differential
+//    configurations and batch shapes, including the zero-slice-skip fast
+//    path and the fault paths (stuck cells, drift, killed subarrays)
 //  - allocation-free scratch variants (query_batch_into, scores_batch_into)
 //    against their allocating counterparts
 //  - determinism of the parallel per-shard retrieve fan-out against the
@@ -16,13 +16,14 @@
 #include <memory>
 #include <vector>
 
+#include "crossbar_oracle.hpp"
 #include "nvcim/serve/engine.hpp"
 
 namespace nvcim {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Fused slice kernel vs the legacy reference kernel.
+// Fused slice kernel vs the scalar oracle.
 // ---------------------------------------------------------------------------
 
 Matrix random_int_matrix(std::size_t rows, std::size_t cols, int lo, int hi, Rng& rng) {
@@ -34,39 +35,73 @@ Matrix random_int_matrix(std::size_t rows, std::size_t cols, int lo, int hi, Rng
   return m;
 }
 
-/// Program two crossbars (fused vs reference kernel) from identical RNG
-/// streams and require exactly equal MVM results and counters.
+void expect_equal_to_oracle(const Matrix& y, const Matrix& oracle) {
+  ASSERT_TRUE(y.same_shape(oracle));
+  for (std::size_t i = 0; i < y.size(); ++i)
+    ASSERT_EQ(y.at_flat(i), oracle.at_flat(i)) << "flat index " << i;
+}
+
+/// One unmasked kernel call of `x` must equal the scalar oracle bit for bit
+/// and advance the counters by their closed form: B·S·P activations and
+/// S·P·B·cols ADC conversions. Zero-slice skipping is a simulation shortcut,
+/// not a change to the logical op schedule.
+void expect_kernel_matches_oracle(cim::Crossbar& xb, const Matrix& x) {
+  const std::size_t S = xb.config().n_slices();
+  const std::size_t P = test::oracle_polarities(xb.config());
+  const cim::OpCounters before = xb.counters();
+  Matrix y;
+  xb.matvec_batch_into(x, y);
+  expect_equal_to_oracle(y, test::crossbar_oracle(xb, x));
+  EXPECT_EQ(xb.counters().subarray_activations - before.subarray_activations,
+            x.rows() * S * P);
+  EXPECT_EQ(xb.counters().adc_conversions - before.adc_conversions,
+            S * P * x.rows() * xb.active_cols());
+}
+
+/// One masked kernel call: every (query, column) whose accumulator block
+/// holds a candidate of that query equals the oracle bit for bit, every
+/// other entry is exact 0, and ADC conversions advance by S·P·(computed
+/// columns) while activations keep the unmasked B·S·P schedule.
+void expect_masked_kernel_matches_oracle(cim::Crossbar& xb, const Matrix& x,
+                                         const cim::CandidateSet& cand) {
+  const std::size_t S = xb.config().n_slices();
+  const std::size_t P = test::oracle_polarities(xb.config());
+  const cim::OpCounters before = xb.counters();
+  Matrix y;
+  xb.matvec_batch_into(x, y, &cand, 0);
+  const Matrix oracle = test::crossbar_oracle(xb, x);
+  ASSERT_TRUE(y.same_shape(oracle));
+  std::size_t computed = 0;
+  for (std::size_t m = 0; m < x.rows(); ++m) {
+    for (std::size_t c = 0; c < xb.active_cols(); ++c) {
+      if (test::oracle_block_needed(xb, cand, m, c)) {
+        ++computed;
+        ASSERT_EQ(y(m, c), oracle(m, c)) << "computed (" << m << "," << c << ")";
+      } else {
+        ASSERT_EQ(y(m, c), 0.0f) << "pruned (" << m << "," << c << ")";
+      }
+    }
+  }
+  EXPECT_EQ(xb.counters().subarray_activations - before.subarray_activations,
+            x.rows() * S * P);
+  EXPECT_EQ(xb.counters().adc_conversions - before.adc_conversions, S * P * computed);
+}
+
+/// Program a crossbar and require the kernel to equal the oracle at B = 7
+/// (a full 4-query tile plus a remainder) and at B = 1.
 void expect_fused_matches_reference(cim::CrossbarConfig cfg, double sigma, int value_range,
                                     std::uint64_t seed) {
-  cim::CrossbarConfig ref_cfg = cfg;
-  ref_cfg.reference_kernel = true;
-  cim::Crossbar fused(cfg), reference(ref_cfg);
-
+  cim::Crossbar fused(cfg);
   Rng wr(seed);
   const Matrix w = random_int_matrix(cfg.rows, cfg.cols, cfg.differential ? -value_range : 0,
                                      value_range, wr);
-  Rng pr1(seed + 1), pr2(seed + 1);
-  fused.program(w, {nvm::fefet3(), sigma}, pr1);
-  reference.program(w, {nvm::fefet3(), sigma}, pr2);
+  Rng pr(seed + 1);
+  fused.program(w, {nvm::fefet3(), sigma}, pr);
 
   Rng qr(seed + 2);
   const Matrix x = Matrix::randn(7, cfg.rows, qr);
-  const Matrix yf = fused.matvec_batch(x);
-  const Matrix yr = reference.matvec_batch(x);
-  ASSERT_TRUE(yf.same_shape(yr));
-  for (std::size_t i = 0; i < yf.size(); ++i)
-    ASSERT_EQ(yf.at_flat(i), yr.at_flat(i)) << "flat index " << i;
-
-  // The serial path agrees with itself across layouts too.
-  const Matrix sf = fused.matvec(x.row(0));
-  const Matrix sr = reference.matvec(x.row(0));
-  for (std::size_t i = 0; i < sf.size(); ++i)
-    ASSERT_EQ(sf.at_flat(i), sr.at_flat(i)) << "serial flat index " << i;
-
-  // Counters advance identically: zero-slice skipping is a simulation
-  // shortcut, not a change to the logical op schedule.
-  EXPECT_EQ(fused.counters().subarray_activations, reference.counters().subarray_activations);
-  EXPECT_EQ(fused.counters().adc_conversions, reference.counters().adc_conversions);
+  expect_kernel_matches_oracle(fused, x);
+  expect_kernel_matches_oracle(fused, x.row(0));
 }
 
 TEST(FusedKernel, BitIdenticalToReferenceUnderNoiseAndAdc) {
@@ -121,30 +156,53 @@ TEST(FusedKernel, ZeroSliceSkipFiresAndStaysExact) {
   for (std::size_t c = 0; c < y.cols(); ++c) EXPECT_FLOAT_EQ(y(0, c), 24.0f * 3.0f);
 }
 
-TEST(FastAccumulate, WithinToleranceOfExactPath) {
-  cim::CrossbarConfig exact_cfg;
-  exact_cfg.rows = 96;
-  exact_cfg.cols = 32;
-  exact_cfg.adc_bits = 8;
-  cim::CrossbarConfig fast_cfg = exact_cfg;
-  fast_cfg.fast_accumulate = true;
+std::size_t zero_slices(const cim::Crossbar& xb) {
+  std::size_t n = 0;
+  for (std::size_t s = 0; s < xb.config().n_slices(); ++s) n += xb.slice_is_zero(s) ? 1 : 0;
+  return n;
+}
 
-  cim::Crossbar exact(exact_cfg), fast(fast_cfg);
-  Rng wr(61);
-  const Matrix w = random_int_matrix(96, 32, -20000, 20000, wr);
-  Rng p1(62), p2(62);
-  exact.program(w, {nvm::fefet3(), 0.1}, p1);
-  fast.program(w, {nvm::fefet3(), 0.1}, p2);
+TEST(KernelOracle, BitIdenticalThroughStuckCellsDriftAndKill) {
+  // Noiseless small values leave the high slices all-zero and elided, so a
+  // stuck-ON clamp landing there must re-enable the plane; drift and a
+  // whole-subarray kill then rewrite cells in place. After each step the
+  // kernel must still equal the oracle, masked and unmasked, at B = 1, 4, 7
+  // (single query, one full register tile, tile plus remainder).
+  cim::CrossbarConfig cfg;
+  cfg.rows = 40;
+  cfg.cols = 40;  // differential: 80 interleaved lanes over 3 accumulator blocks
+  cfg.adc_bits = 8;
+  cim::Crossbar xb(cfg);
+  Rng wr(301), pr(302);
+  xb.program(random_int_matrix(cfg.rows, cfg.cols, -3, 3, wr), {nvm::fefet3(), 0.0}, pr);
+  const std::size_t zero_before = zero_slices(xb);
+  ASSERT_GT(zero_before, 0u);
 
-  Rng qr(63);
-  const Matrix x = Matrix::randn(16, 96, qr);
-  const Matrix ye = exact.matvec_batch(x);
-  const Matrix yf = fast.matvec_batch(x);
-  ASSERT_TRUE(ye.same_shape(yf));
-  // Float accumulation over ≤96 noisy terms stays within a small relative
-  // error of the double path (well under the device-noise floor).
-  const float rel = (ye - yf).frobenius_norm() / std::max(1e-6f, ye.frobenius_norm());
-  EXPECT_LT(rel, 1e-4f);
+  Rng qr(303), mr(304);
+  const auto check_all = [&](const char* stage) {
+    SCOPED_TRACE(stage);
+    for (const std::size_t B : {1u, 4u, 7u}) {
+      const Matrix x = Matrix::randn(B, cfg.rows, qr);
+      expect_kernel_matches_oracle(xb, x);
+      cim::CandidateSet cand;
+      cand.reset(B, cfg.cols);
+      for (std::size_t b = 0; b < B; ++b) cand.set(b, mr.uniform_index(cfg.cols));
+      expect_masked_kernel_matches_oracle(xb, x, cand);
+    }
+  };
+  check_all("pristine");
+
+  EXPECT_EQ(xb.inject_column_fault(3, nvm::FaultKind::StuckAtOn, 24, 305), 24u);
+  EXPECT_EQ(xb.inject_column_fault(21, nvm::FaultKind::StuckAtOff, 8, 306), 8u);
+  EXPECT_LT(zero_slices(xb), zero_before);  // stuck-ON cells re-enabled elided planes
+  check_all("stuck");
+
+  xb.set_drift_rate(0.05);
+  xb.advance_age(3);
+  check_all("drift");
+
+  xb.kill();
+  check_all("killed");
 }
 
 // ---------------------------------------------------------------------------

@@ -30,8 +30,9 @@ TEST(BatchedCrossbar, MatvecBatchMatchesMatvecExactly) {
   Rng qr(13);
   const Matrix x = Matrix::randn(6, 48, qr);
   cim::Crossbar copy = xb;  // independent counters
-  const Matrix serial = xb.matvec(x);
-  const Matrix batched = copy.matvec_batch(x);
+  Matrix serial(x.rows(), 20);
+  for (std::size_t m = 0; m < x.rows(); ++m) serial.set_row(m, xb.matvec(x.row(m)));
+  const Matrix batched = copy.matvec(x);
   ASSERT_TRUE(serial.same_shape(batched));
   for (std::size_t i = 0; i < serial.size(); ++i)
     EXPECT_EQ(serial.at_flat(i), batched.at_flat(i)) << "flat index " << i;
@@ -55,7 +56,7 @@ TEST(BatchedAccelerator, QueryBatchMatchesQueryUnderNoiseAndAdc) {
   ASSERT_EQ(batched.rows(), 8u);
   ASSERT_EQ(batched.cols(), 24u);
   for (std::size_t b = 0; b < queries.rows(); ++b) {
-    const Matrix one = acc.query(queries.row(b));
+    const Matrix one = acc.query_batch(queries.row(b));
     for (std::size_t k = 0; k < one.cols(); ++k)
       EXPECT_EQ(one(0, k), batched(b, k)) << "query " << b << " key " << k;
   }

@@ -21,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "crossbar_oracle.hpp"
 #include "nvcim/serve/engine.hpp"
 
 namespace nvcim {
@@ -83,7 +84,8 @@ TEST(MaskedKernel, CandidateColumnsBitIdenticalAndRestExactZero) {
 
   Rng qr(213);
   const Matrix x = Matrix::randn(7, cfg.rows, qr);
-  const Matrix y_full = full.matvec_batch(x);
+  const Matrix y_full = full.matvec(x);
+  const Matrix oracle = test::crossbar_oracle(full, x);
 
   // Sparse mask: with ~4% density a 16-column accumulator block is often
   // candidate-free for a query, so whole-block pruning actually fires.
@@ -96,6 +98,7 @@ TEST(MaskedKernel, CandidateColumnsBitIdenticalAndRestExactZero) {
   bool any_zeroed = false;
   for (std::size_t b = 0; b < 7; ++b) {
     for (std::size_t c = 0; c < cfg.cols; ++c) {
+      EXPECT_EQ(y_full(b, c), oracle(b, c)) << "full (" << b << "," << c << ")";
       if (cand.test(b, c)) {
         EXPECT_EQ(y_full(b, c), y_masked(b, c)) << "candidate (" << b << "," << c << ")";
       } else {
@@ -111,33 +114,19 @@ TEST(MaskedKernel, CandidateColumnsBitIdenticalAndRestExactZero) {
     }
   }
   EXPECT_TRUE(any_zeroed);  // the mask actually pruned whole blocks
-  // Pruned ADC accounting: the masked pass converted fewer columns.
+  // Pruned ADC accounting: the masked pass converted fewer columns — S·P
+  // conversions per computed (query, column) pair, against S·P·B·cols for
+  // the full pass; activations follow the input-side B·S·P schedule.
+  const std::size_t SP = cfg.n_slices() * test::oracle_polarities(cfg);
+  std::size_t computed = 0;
+  for (std::size_t b = 0; b < 7; ++b)
+    for (std::size_t c = 0; c < cfg.cols; ++c)
+      computed += test::oracle_block_needed(masked, cand, b, c) ? 1 : 0;
+  EXPECT_EQ(full.counters().adc_conversions, SP * 7 * cfg.cols);
+  EXPECT_EQ(masked.counters().adc_conversions, SP * computed);
   EXPECT_LT(masked.counters().adc_conversions, full.counters().adc_conversions);
   EXPECT_EQ(masked.counters().subarray_activations, full.counters().subarray_activations);
-}
-
-TEST(MaskedKernel, FastAccumulateHonoursMaskToo) {
-  cim::CrossbarConfig cfg;
-  cfg.rows = 48;
-  cfg.cols = 24;
-  cfg.fast_accumulate = true;
-  cim::Crossbar xb(cfg);
-  Rng wr(221), pr(222);
-  xb.program(random_ints(cfg.rows, cfg.cols, -2000, 2000, wr), {nvm::fefet3(), 0.1}, pr);
-  Rng qr(223), mr(224);
-  const Matrix x = Matrix::randn(5, cfg.rows, qr);
-  const cim::CandidateSet cand = random_mask(5, cfg.cols, 0.25, mr);
-  const Matrix y_full = xb.matvec_batch(x);
-  Matrix y_masked;
-  xb.matvec_batch_into(x, y_masked, &cand, 0);
-  for (std::size_t b = 0; b < 5; ++b)
-    for (std::size_t c = 0; c < cfg.cols; ++c) {
-      if (cand.test(b, c))
-        EXPECT_EQ(y_full(b, c), y_masked(b, c)) << "(" << b << "," << c << ")";
-      else
-        EXPECT_TRUE(y_masked(b, c) == y_full(b, c) || y_masked(b, c) == 0.0f)
-            << "(" << b << "," << c << ")";
-    }
+  EXPECT_EQ(full.counters().subarray_activations, SP * 7);
 }
 
 TEST(MaskedAccelerator, TiledQueryBatchMatchesFullOnCandidates) {
