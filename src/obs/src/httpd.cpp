@@ -124,15 +124,16 @@ void HttpServer::stop() {
     if (!started_ || stopping_) return;
     stopping_ = true;
   }
-  // Unblock the accept thread: shutdown() makes a blocked accept() return,
-  // close() releases the fd.
+  // Unblock the accept thread: shutdown() makes a blocked accept() return.
+  // The fd is closed only once the acceptor has joined — it still reads
+  // listen_fd_, and a closed fd number could be reused under it.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  cv_.notify_all();
+  if (acceptor_.joinable()) acceptor_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  cv_.notify_all();
-  if (acceptor_.joinable()) acceptor_.join();
   for (auto& t : handlers_) {
     if (t.joinable()) t.join();
   }

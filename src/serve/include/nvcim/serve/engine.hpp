@@ -8,7 +8,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -86,11 +85,6 @@ struct ServingConfig {
   SchedulerConfig scheduler;
   std::size_t cache_capacity = 32;   ///< decoded-OVT LRU entries
   bool run_inference = false;        ///< also classify with the shared backbone
-  /// Fan the retrieve stage's per-shard MVM passes out across the worker
-  /// pool when a batch spans multiple shards. Shards are independent (their
-  /// crossbars were programmed at build time), so results are bit-identical
-  /// to the serial shard loop; off = serial loop, for A/B benching.
-  bool parallel_retrieval = true;
   /// Two-phase retrieval: k-means candidate routing + low-bit sketch
   /// prefilter (phase 1) ahead of candidate-masked exact crossbar scoring
   /// (phase 2). Off by default — the exact PR 3 data path. With
@@ -99,7 +93,7 @@ struct ServingConfig {
   /// still skipped; smaller nprobe trades recall for pruned crossbar work
   /// (see EngineStats::pruned_fraction / sampled_recall_at1).
   TwoPhaseConfig two_phase;
-  /// Online tenant lifecycle: admit_user()/evict_user()/rebalance() while
+  /// Online tenant lifecycle: admit()/evict_user()/rebalance() while
   /// serving, over an epoch-versioned mutable store. Off by default — the
   /// build-once PR 4 store.
   LifecycleConfig lifecycle;
@@ -139,7 +133,7 @@ class RequestHandle {
   RequestHandle() = default;
 
   /// False ⇔ the submission was rejected (queue full under
-  /// OverloadPolicy::Reject) — the legacy try_submit() nullopt.
+  /// OverloadPolicy::Reject).
   bool valid() const { return engine_ != nullptr; }
   std::uint64_t id() const { return id_; }
 
@@ -164,10 +158,9 @@ class RequestHandle {
   std::future<Response> future_;
 };
 
-/// Handle to one admission: valid() ⇔ the admission was accepted (false is
-/// the legacy try_admit_user() == false rejection), wait() joins a
-/// write-behind admission (rethrows its error on rollback). The handle must
-/// not outlive its engine.
+/// Handle to one admission: valid() ⇔ the admission was accepted, wait()
+/// joins a write-behind admission (rethrows its error on rollback). The
+/// handle must not outlive its engine.
 class AdmissionHandle {
  public:
   AdmissionHandle() = default;
@@ -214,7 +207,7 @@ class AdmissionHandle {
 /// Per-stage wall-clock is accumulated into EngineStats. Batched results
 /// are bit-identical to the serial reference path (retrieve_serial).
 ///
-/// Lifecycle: construct → add_deployment()× → start() → submit()/serve()×
+/// Lifecycle: construct → add_deployment()× → start() → submit()×
 /// → stop() (or destruction). The backbone and task outlive the engine.
 class ServingEngine {
  public:
@@ -236,7 +229,7 @@ class ServingEngine {
   /// after shutdown began; in-flight batches complete normally). Idempotent.
   void stop();
 
-  // ---- Submission (the one entry point; the rest are shims over it) ----
+  // ---- Submission ----
 
   /// Enqueue one request under its scheduling contract and return a handle
   /// carrying the future, the request id and cancel-before-dispatch.
@@ -256,61 +249,27 @@ class ServingEngine {
   /// tenants are scheduled. Callable while serving.
   void set_rate_limit(std::size_t user_id, double rps);
 
-  // ---- Deprecated submission shims (prefer submit(Request, SubmitOptions)) ----
-
-  /// DEPRECATED shim: submit({user, query}).take_future() with blocking
-  /// backpressure — the pre-PR 8 submit().
-  std::future<Response> submit(std::size_t user_id, data::Sample query);
-
-  /// DEPRECATED shim: submit() under OverloadPolicy::Reject — nullopt when
-  /// the queue is full (the pre-PR 8 try_submit()).
-  std::optional<std::future<Response>> try_submit(std::size_t user_id, data::Sample query);
-
-  /// DEPRECATED shim: submit and wait.
-  Response serve(std::size_t user_id, const data::Sample& query);
-
   // ---- Online tenant lifecycle (requires ServingConfig::lifecycle) ----
 
-  /// Admit a user while serving (one entry point; AdmitOptions carries the
-  /// non-blocking / join-before-return semantics the admit_user /
-  /// try_admit_user / wait_admitted trio used to encode in function names).
-  /// Returns an invalid handle ⇔ the write-behind pending-admission bound
-  /// rejected the call under `opts.non_blocking`. Before start() this is
-  /// equivalent to add_deployment(). See admit_user() for the write-behind
-  /// protocol details.
-  AdmissionHandle admit(std::size_t user_id, core::TrainedDeployment deployment,
-                        AdmitOptions opts = {});
-
-  /// DEPRECATED shim for admit(): blocking admission, no join.
-  ///
   /// Admit a user while serving: program its keys into the live store (new
   /// epoch; in-flight batches are untouched) and take ownership of the
   /// deployment. Before start() this is equivalent to add_deployment().
   ///
-  /// With LifecycleConfig::write_behind (and a running pool), the call
-  /// stages the admission and returns immediately (tenant Pending): column
-  /// programming runs as per-subarray aux tasks on the worker pool,
-  /// interleaved with serving batches, and the tenant flips live when the
-  /// last span lands — bit-identical to the synchronous path (same staged
-  /// protocol, same per-column noise streams). Join with wait_admitted().
-  /// At LifecycleConfig::max_pending_admissions staged admissions the call
-  /// blocks (backpressure); try_admit_user() rejects instead.
-  void admit_user(std::size_t user_id, core::TrainedDeployment deployment);
-
-  /// DEPRECATED shim for admit(..., {.non_blocking = true}).valid().
-  ///
-  /// Non-blocking admission control for admit_user(): when the write-behind
-  /// pending bound is hit the admission is REJECTED — returns false (the
-  /// engine is Overloaded, EngineStats::rejected_admissions bumps) instead
-  /// of blocking. Synchronous-path admissions always proceed (return true).
-  bool try_admit_user(std::size_t user_id, core::TrainedDeployment deployment);
-
-  /// Join one write-behind admission (AdmissionHandle::wait()'s
-  /// implementation): block until the user's staged columns
-  /// are fully programmed and the tenant is live. Rethrows the admission's
-  /// error if programming failed (the admission was rolled back). Returns
-  /// immediately for already-live users; throws for unknown ones.
-  void wait_admitted(std::size_t user_id);
+  /// Every admission stages its placement (tenant Pending), programs its
+  /// columns in per-subarray spans and flips the tenant live when the last
+  /// span lands, or rolls the whole admission back if a span fails. With
+  /// LifecycleConfig::write_behind and a running pool the spans run as aux
+  /// tasks on the worker pool, interleaved with serving batches, and the
+  /// call returns at once; join with AdmissionHandle::wait() (or
+  /// `opts.wait`). At LifecycleConfig::max_pending_admissions such staged
+  /// admissions the call blocks (backpressure), or under
+  /// `opts.non_blocking` returns an invalid handle and bumps
+  /// EngineStats::rejected_admissions. Otherwise the spans run on the
+  /// calling thread and the call returns with the admission settled
+  /// (rethrowing a programming error). Both ways program bit-identical
+  /// cells: same spans, same per-column noise streams.
+  AdmissionHandle admit(std::size_t user_id, core::TrainedDeployment deployment,
+                        AdmitOptions opts = {});
 
   /// Evict a user while serving: unpublish its slot (freed columns are
   /// reused only after in-flight readers drain), drop the deployment and
@@ -327,8 +286,9 @@ class ServingEngine {
 
   /// One rebalance cycle: plan migrations from overloaded to underloaded
   /// shards and execute them as aux tasks on the worker pool (workers
-  /// interleave them with serving batches — no quiesce). Blocks until the
-  /// cycle completes; returns the number of users migrated. Wall-clock and
+  /// interleave them with serving batches — no quiesce; on the calling
+  /// thread when the pool is not running). Blocks until the cycle
+  /// completes; returns the number of users migrated. Wall-clock and
   /// counts land in EngineStats (migrations, rebalance_ms).
   std::size_t rebalance();
 
@@ -376,6 +336,8 @@ class ServingEngine {
   std::size_t coalesced_fetches() const { return coalesced_fetches_; }
 
  private:
+  friend class AdmissionHandle;  // wait() joins through wait_admitted()
+
   /// One user's pinned serving state: the deployment (shared_ptr — eviction
   /// drops the map entry, in-flight batches keep theirs alive) and its
   /// admission generation. Decoded-prompt cache keys use the generation,
@@ -412,8 +374,9 @@ class ServingEngine {
     std::vector<const Matrix*> decode_parts;
   };
 
-  /// A unit of stage work fanned out to the worker pool (currently one
-  /// shard's retrieval). Runs on the executing worker's own WorkerState.
+  /// A unit of work posted to the worker pool (a shard's retrieval, an
+  /// admission span, a migration, a scrub round). Runs on the executing
+  /// worker's own WorkerState.
   using AuxTask = std::function<void(WorkerState&)>;
 
   /// One in-flight decode for single-flight misses: the first worker to miss
@@ -454,24 +417,58 @@ class ServingEngine {
   /// Settle a batch of already-expired requests with DeadlineExceeded and
   /// account them (stats + tracer). Called outside queue_mu_.
   void expire_requests(std::vector<QueuedRequest>&& expired);
-  /// Shared body of admit_user()/try_admit_user(). Returns false only when
-  /// `may_block` is false and the pending-admission bound rejects the call.
-  bool admit_user_impl(std::size_t user_id, core::TrainedDeployment deployment, bool may_block);
+  /// The one way onto the worker pool: post tasks `fn(i, ws)` for i in
+  /// [0, n) to the aux queue and return true, or post nothing and return
+  /// false when the pool refuses them (not running, or stop() has begun).
+  /// Tasks posted while running_ && !stopping_ holds under queue_mu_ are
+  /// guaranteed a live worker to drain them (workers empty the aux queue
+  /// before exiting).
+  template <class Fn>
+  bool post_aux(std::size_t n, Fn fn);
+  /// post_aux() and join: on true every task has run. A worker caller
+  /// passes its own WorkerState as `helper` and runs queued aux tasks (its
+  /// own or others') until its tasks are all claimed, so a fan-out never
+  /// waits on a busy pool; with one worker that is the serial loop.
+  template <class Fn>
+  bool run_aux(std::size_t n, Fn fn, WorkerState* helper);
   /// Program one staged span; the last span to finish settles the admission
   /// (commit on success, full rollback on error) and wakes the joiners.
+  /// Only write-behind (`on_pool`) spans are traced and counted in the
+  /// programming-queue and program-batch metrics.
   void run_admission_span(const std::shared_ptr<const ShardedOvtStore::StagedAdmission>& staged,
                           const std::shared_ptr<AdmissionJoin>& join, std::size_t idx,
-                          std::uint64_t generation, std::chrono::steady_clock::time_point t0);
+                          std::uint64_t generation, std::chrono::steady_clock::time_point t0,
+                          bool on_pool);
+  /// Settle an admission: with `error`, roll it back (store slot,
+  /// deployment, generation); always release its pending-admission slot
+  /// and wake every joiner.
+  void settle_admission(std::size_t user_id, std::uint64_t generation, AdmissionJoin& join,
+                        std::exception_ptr error);
+  /// Block until the user's in-flight admission (if any) has settled and
+  /// return its join, or nullptr when none was in flight.
+  std::shared_ptr<AdmissionJoin> await_settled(std::size_t user_id);
+  /// Join one admission (AdmissionHandle::wait()'s implementation): block
+  /// until the user's staged columns are fully programmed and the tenant is
+  /// live. Rethrows the admission's error if programming failed (the
+  /// admission was rolled back). Returns immediately for already-live
+  /// users; throws for unknown ones.
+  void wait_admitted(std::size_t user_id);
   /// Pinned deployment ref for `user_id`, or an empty DepRef when the user
   /// is gone (evicted between submit and batch assembly).
   DepRef find_deployment(std::size_t user_id) const;
-  std::shared_ptr<const Matrix> prompt_locked_fetch(const DepRef& ref, std::size_t ovt_index,
-                                                    bool* was_hit,
-                                                    compress::Autoencoder::Scratch* scratch);
+  /// Stage 3: the decoded prompt of every row i with !failed[i], keyed by
+  /// (deps[i].generation, ovt_index[i]), through the LRU cache with
+  /// single-flight misses. One lock pass probes the cache and makes this
+  /// caller the leader of every distinct missed key; the missed payloads
+  /// decode in one stacked GEMM per shared autoencoder; followers of other
+  /// callers' flights wait last, so leaders never block on followers. A
+  /// row whose decode fails gets failed[i] = 1 and `on_error(i, error)`.
+  template <class OnError>
+  void fetch_prompts(const std::vector<DepRef>& deps, const std::vector<std::size_t>& ovt_index,
+                     std::vector<char>& failed, std::vector<std::shared_ptr<const Matrix>>& prompts,
+                     std::vector<char>& cache_hit, WorkerState& ws, OnError on_error);
   /// Publish one finished decode: cache the value (best-effort), retire the
-  /// in-flight entry and wake every waiter. The single implementation of
-  /// the single-flight completion protocol, shared by the per-request fetch
-  /// and the batched stage-3 decode.
+  /// in-flight entry and wake every waiter.
   void complete_decode_flight(const std::pair<std::size_t, std::size_t>& key,
                               const std::shared_ptr<InFlightDecode>& flight,
                               const std::shared_ptr<const Matrix>& value,
@@ -527,7 +524,7 @@ class ServingEngine {
   std::atomic<bool> scrub_inflight_{false};
 
   mutable std::mutex admissions_mu_;       ///< guards admissions_
-  std::condition_variable admissions_cv_;  ///< admit_user() backpressure waiters
+  std::condition_variable admissions_cv_;  ///< admit() backpressure waiters
   /// In-flight write-behind admissions by user id. An entry exists from the
   /// moment the pending slot is reserved until the admission settles — its
   /// size IS the backpressure bound's measure.

@@ -45,8 +45,8 @@ struct Request {
 
 /// What submit() does when the bounded queue is at capacity.
 enum class OverloadPolicy {
-  Block,   ///< wait for space (backpressure) — the old submit() behaviour
-  Reject,  ///< return an invalid handle and bump rejected_requests — try_submit()
+  Block,   ///< wait for space (backpressure)
+  Reject,  ///< return an invalid handle and bump rejected_requests
 };
 
 /// Per-request scheduling contract. Defaults reproduce the legacy behaviour:

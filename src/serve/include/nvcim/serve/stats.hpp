@@ -107,16 +107,16 @@ struct StatsSnapshot {
   std::size_t deadline_missed = 0;
   /// Requests removed by RequestHandle::cancel() before dispatch.
   std::size_t cancelled_requests = 0;
-  // Write-behind admission accounting (zero on the synchronous path).
+  // Write-behind admission accounting (zero for inline admissions).
   /// Programming spans staged but not yet executed (live queue depth).
   std::size_t programming_queue_depth = 0;
-  /// Per-subarray programming batches executed by worker aux tasks.
+  /// Per-subarray programming batches of write-behind admissions.
   std::size_t program_batches = 0;
   // Admission latency (stage → live) percentiles from the histogram.
   double admission_p50_ms = 0.0;
   double admission_p95_ms = 0.0;
-  /// try_admit_user() calls bounced with Overloaded (pending-admission
-  /// backpressure bound hit).
+  /// Non-blocking admit() calls bounced with Overloaded
+  /// (pending-admission backpressure bound hit).
   std::size_t rejected_admissions = 0;
   // Device-fault tolerance accounting (zero without scrubbing in play).
   std::size_t scrub_passes = 0;          ///< per-subarray scrub-and-repair passes
@@ -233,7 +233,7 @@ class EngineStats {
   void record_program_batch(std::size_t columns);
   /// One admission went stage → live in `ms` wall-clock.
   void record_admission_latency(double ms);
-  /// One try_admit_user() bounced on the pending-admission bound.
+  /// One non-blocking admit() bounced on the pending-admission bound.
   void record_admission_rejection();
 
   // ---- Device-fault scrubbing / repair ----

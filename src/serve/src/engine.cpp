@@ -28,6 +28,57 @@ double ms_between(std::chrono::steady_clock::time_point a,
 
 }  // namespace
 
+template <class Fn>
+bool ServingEngine::post_aux(std::size_t n, Fn fn) {
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    if (!running_ || stopping_) return false;
+    for (std::size_t i = 0; i < n; ++i)
+      aux_queue_.emplace_back([fn, i](WorkerState& ws) { fn(i, ws); });
+  }
+  if (n == 1)
+    queue_cv_.notify_one();
+  else
+    queue_cv_.notify_all();
+  return true;
+}
+
+template <class Fn>
+bool ServingEngine::run_aux(std::size_t n, Fn fn, WorkerState* helper) {
+  struct Countdown {
+    Fn& fn;
+    std::mutex mu;
+    std::condition_variable cv;
+    std::size_t remaining;
+  } done{fn, {}, {}, n};
+  // Each task carries one pointer (plus its index), so posting it fits
+  // std::function's inline storage: a fan-out allocates nothing per task.
+  const auto counted = [d = &done](std::size_t i, WorkerState& ws) {
+    d->fn(i, ws);
+    std::lock_guard<std::mutex> lock(d->mu);
+    if (--d->remaining == 0) d->cv.notify_all();
+  };
+  if (!post_aux(n, counted)) return false;
+  // Tasks never block, so helping cannot deadlock.
+  while (helper != nullptr) {
+    {
+      std::lock_guard<std::mutex> lock(done.mu);
+      if (done.remaining == 0) return true;
+    }
+    AuxTask task;
+    {
+      std::lock_guard<std::mutex> lock(queue_mu_);
+      if (aux_queue_.empty()) break;
+      task = std::move(aux_queue_.front());
+      aux_queue_.pop_front();
+    }
+    task(*helper);
+  }
+  std::unique_lock<std::mutex> lock(done.mu);
+  done.cv.wait(lock, [&done] { return done.remaining == 0; });
+  return true;
+}
+
 ServingEngine::ServingEngine(llm::TinyLM& model, const data::LampTask& task, ServingConfig cfg)
     : model_(&model),
       task_(&task),
@@ -45,7 +96,7 @@ ServingEngine::ServingEngine(llm::TinyLM& model, const data::LampTask& task, Ser
 ServingEngine::~ServingEngine() { stop(); }
 
 void ServingEngine::add_deployment(std::size_t user_id, core::TrainedDeployment deployment) {
-  NVCIM_CHECK_MSG(!running_, "cannot add deployments while running (use admit_user)");
+  NVCIM_CHECK_MSG(!running_, "cannot add deployments while running (use admit)");
   NVCIM_CHECK_MSG(deployment.n_ovts() > 0, "deployment for user " << user_id << " is empty");
   NVCIM_CHECK_MSG(deployment.autoencoder != nullptr,
                   "deployment for user " << user_id << " has no autoencoder");
@@ -68,27 +119,9 @@ void ServingEngine::add_deployment(std::size_t user_id, core::TrainedDeployment 
 
 AdmissionHandle ServingEngine::admit(std::size_t user_id, core::TrainedDeployment deployment,
                                      AdmitOptions opts) {
-  if (!admit_user_impl(user_id, std::move(deployment), /*may_block=*/!opts.non_blocking))
-    return AdmissionHandle{};  // rejected: pending-admission bound hit
-  AdmissionHandle handle(this, user_id);
-  if (opts.wait) handle.wait();
-  return handle;
-}
-
-void ServingEngine::admit_user(std::size_t user_id, core::TrainedDeployment deployment) {
-  admit(user_id, std::move(deployment));
-}
-
-bool ServingEngine::try_admit_user(std::size_t user_id, core::TrainedDeployment deployment) {
-  return admit(user_id, std::move(deployment), AdmitOptions{/*non_blocking=*/true, false})
-      .valid();
-}
-
-bool ServingEngine::admit_user_impl(std::size_t user_id, core::TrainedDeployment deployment,
-                                    bool may_block) {
   if (!store_.built()) {
     add_deployment(user_id, std::move(deployment));
-    return true;
+    return AdmissionHandle(this, user_id);
   }
   NVCIM_CHECK_MSG(cfg_.lifecycle.enabled, "tenant lifecycle disabled in this engine");
   NVCIM_CHECK_MSG(deployment.n_ovts() > 0, "deployment for user " << user_id << " is empty");
@@ -100,125 +133,75 @@ bool ServingEngine::admit_user_impl(std::size_t user_id, core::TrainedDeployment
   const auto t0 = std::chrono::steady_clock::now();
 
   // Write-behind only with a pool to write behind: before start() (or after
-  // stop()) the synchronous path keeps the call self-contained.
-  const bool deferred = cfg_.lifecycle.write_behind && running_;
-  std::shared_ptr<AdmissionJoin> join;
-  if (deferred) {
+  // stop()) the spans run here and the call stays self-contained. Only
+  // pool admissions hold a pending-admission slot.
+  const bool on_pool = cfg_.lifecycle.write_behind && running_;
+  const auto join = std::make_shared<AdmissionJoin>();
+  std::uint64_t generation = 0;
+  {
     std::unique_lock<std::mutex> lock(admissions_mu_);
-    if (!may_block && admissions_.size() >= cfg_.lifecycle.max_pending_admissions) {
-      // Overloaded: the programming backlog is at its bound — reject and
-      // let the caller shed or retry. The counter is the observable signal.
-      stats_.record_admission_rejection();
-      return false;
+    if (on_pool) {
+      if (opts.non_blocking && admissions_.size() >= cfg_.lifecycle.max_pending_admissions) {
+        // Overloaded: the programming backlog is at its bound — reject and
+        // let the caller shed or retry. The counter is the observable signal.
+        stats_.record_admission_rejection();
+        return AdmissionHandle{};
+      }
+      admissions_cv_.wait(lock, [this] {
+        return admissions_.size() < cfg_.lifecycle.max_pending_admissions;
+      });
     }
-    admissions_cv_.wait(lock, [this] {
-      return admissions_.size() < cfg_.lifecycle.max_pending_admissions;
-    });
     NVCIM_CHECK_MSG(admissions_.count(user_id) == 0,
                     "user " << user_id << " admission already in flight");
-    join = std::make_shared<AdmissionJoin>();
-    admissions_.emplace(user_id, join);  // reserves one pending-admission slot
-  }
-
-  // Deployment first, directory second: the moment a batch can see the
-  // user's slot, its deployment must resolve.
-  std::uint64_t generation = 0;
-  try {
-    std::lock_guard<std::mutex> lock(deployments_mu_);
-    NVCIM_CHECK_MSG(deployments_.count(user_id) == 0,
-                    "user " << user_id << " already deployed");
-    generation = next_generation_++;
-    deployments_[user_id] = DepRef{owned, generation};
-    stats_.revive_tenant(user_id);  // re-admitted id => fresh labelled series
-  } catch (...) {
-    if (join != nullptr) {
-      {
-        std::lock_guard<std::mutex> lock(admissions_mu_);
-        admissions_.erase(user_id);
-      }
-      admissions_cv_.notify_all();
+    // Deployment first, directory second: the moment a batch can see the
+    // user's slot, its deployment must resolve.
+    {
+      std::lock_guard<std::mutex> dlock(deployments_mu_);
+      NVCIM_CHECK_MSG(deployments_.count(user_id) == 0,
+                      "user " << user_id << " already deployed");
+      generation = next_generation_++;
+      deployments_[user_id] = DepRef{owned, generation};
+      stats_.revive_tenant(user_id);  // re-admitted id => fresh labelled series
     }
-    throw;
+    if (on_pool) admissions_.emplace(user_id, join);  // reserves one pending slot
   }
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
     live_generations_.insert(generation);
   }
 
-  if (!deferred) {
-    try {
-      store_.admit_user(user_id, owned->keys);
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(deployments_mu_);
-        deployments_.erase(user_id);
-      }
-      std::lock_guard<std::mutex> lock(cache_mu_);
-      live_generations_.erase(generation);
-      throw;
-    }
-    stats_.record_admission(/*router_refreshed=*/store_.routed());
-    stats_.record_admission_latency(ms_between(t0, std::chrono::steady_clock::now()));
-    return true;
-  }
-
-  // Write-behind: stage now (placement, allocation, router, Pending
-  // publish — the cheap part), program later. Each per-subarray span
-  // becomes one aux task; workers interleave them with serving batches,
-  // and the last span to land commits the tenant live.
+  // Stage now (placement, allocation, router, Pending publish — the cheap
+  // part), program in per-subarray spans; the last span to land commits
+  // the tenant live.
   std::shared_ptr<const ShardedOvtStore::StagedAdmission> staged;
   try {
     staged = std::make_shared<const ShardedOvtStore::StagedAdmission>(
         store_.stage_admit(user_id, owned->keys));
   } catch (...) {
-    {
-      std::lock_guard<std::mutex> lock(deployments_mu_);
-      deployments_.erase(user_id);
-    }
-    {
-      std::lock_guard<std::mutex> lock(cache_mu_);
-      live_generations_.erase(generation);
-    }
-    {
-      std::lock_guard<std::mutex> lock(admissions_mu_);
-      admissions_.erase(user_id);
-    }
-    admissions_cv_.notify_all();
+    settle_admission(user_id, generation, *join, std::current_exception());
     throw;
   }
   join->remaining = staged->spans.size();
-  stats_.record_programming_enqueued(staged->spans.size());
-
-  // Same enqueue gate as rebalance(): tasks enqueued while running_ &&
-  // !stopping_ holds UNDER queue_mu_ are guaranteed a live worker to drain
-  // them (workers empty the aux queue before exiting); otherwise program
-  // inline — the admission still settles through run_admission_span.
-  bool enqueued = false;
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (running_ && !stopping_) {
-      for (std::size_t i = 0; i < staged->spans.size(); ++i)
-        aux_queue_.emplace_back([this, staged, join, i, generation, t0](WorkerState&) {
-          run_admission_span(staged, join, i, generation, t0);
-        });
-      enqueued = true;
-    }
-  }
-  if (enqueued) {
-    queue_cv_.notify_all();
-  } else {
+  if (on_pool) stats_.record_programming_enqueued(staged->spans.size());
+  if (!on_pool || !post_aux(staged->spans.size(),
+                            [this, staged, join, generation, t0](std::size_t i, WorkerState&) {
+                              run_admission_span(staged, join, i, generation, t0, true);
+                            })) {
     for (std::size_t i = 0; i < staged->spans.size(); ++i)
-      run_admission_span(staged, join, i, generation, t0);
+      run_admission_span(staged, join, i, generation, t0, on_pool);
+    if (join->error != nullptr) std::rethrow_exception(join->error);
   }
-  return true;
+  AdmissionHandle handle(this, user_id);
+  if (opts.wait) handle.wait();
+  return handle;
 }
 
 void ServingEngine::run_admission_span(
     const std::shared_ptr<const ShardedOvtStore::StagedAdmission>& staged,
     const std::shared_ptr<AdmissionJoin>& join, std::size_t idx, std::uint64_t generation,
-    std::chrono::steady_clock::time_point t0) {
+    std::chrono::steady_clock::time_point t0, bool on_pool) {
   {
-    obs::Span span(&tracer_, "program_span", "lifecycle", "user",
+    obs::Span span(on_pool ? &tracer_ : nullptr, "program_span", "lifecycle", "user",
                    static_cast<std::int64_t>(staged->user_id), "span",
                    static_cast<std::int64_t>(idx));
     std::exception_ptr error;
@@ -227,7 +210,7 @@ void ServingEngine::run_admission_span(
     } catch (...) {
       error = std::current_exception();
     }
-    stats_.record_program_batch(staged->spans[idx].second - staged->spans[idx].first);
+    if (on_pool) stats_.record_program_batch(staged->spans[idx].second - staged->spans[idx].first);
     bool last = false;
     {
       std::lock_guard<std::mutex> lock(join->mu);
@@ -237,27 +220,32 @@ void ServingEngine::run_admission_span(
     if (!last) return;
   }
 
-  // Last span settles the admission: commit on success, full rollback
-  // (slot, deployment, generation) on any span's error.
-  std::exception_ptr final_error;
+  // Last span settles the admission: commit on success, full rollback on
+  // any span's error.
+  std::exception_ptr error;
   {
     std::lock_guard<std::mutex> lock(join->mu);
-    final_error = join->error;
+    error = join->error;
   }
-  if (final_error == nullptr) {
+  if (error == nullptr) {
     try {
       store_.commit_admit(staged->user_id);
       stats_.record_admission(/*router_refreshed=*/store_.routed());
       stats_.record_admission_latency(ms_between(t0, std::chrono::steady_clock::now()));
     } catch (...) {
-      final_error = std::current_exception();
+      error = std::current_exception();
     }
   }
-  if (final_error != nullptr) {
-    store_.abort_admit(staged->user_id);
+  settle_admission(staged->user_id, generation, *join, error);
+}
+
+void ServingEngine::settle_admission(std::size_t user_id, std::uint64_t generation,
+                                     AdmissionJoin& join, std::exception_ptr error) {
+  if (error != nullptr) {
+    store_.abort_admit(user_id);  // no-op when nothing was staged
     {
       std::lock_guard<std::mutex> lock(deployments_mu_);
-      deployments_.erase(staged->user_id);
+      deployments_.erase(user_id);
     }
     std::lock_guard<std::mutex> lock(cache_mu_);
     live_generations_.erase(generation);
@@ -267,24 +255,35 @@ void ServingEngine::run_admission_span(
   // that misses the entry can trust user_live()/find_deployment().
   {
     std::lock_guard<std::mutex> lock(admissions_mu_);
-    admissions_.erase(staged->user_id);
+    auto it = admissions_.find(user_id);
+    if (it != admissions_.end() && it->second.get() == &join) admissions_.erase(it);
   }
   admissions_cv_.notify_all();
   {
-    std::lock_guard<std::mutex> lock(join->mu);
-    join->error = final_error;
-    join->settled = true;
+    std::lock_guard<std::mutex> lock(join.mu);
+    join.error = error;
+    join.settled = true;
   }
-  join->cv.notify_all();
+  join.cv.notify_all();
 }
 
-void ServingEngine::wait_admitted(std::size_t user_id) {
+std::shared_ptr<ServingEngine::AdmissionJoin> ServingEngine::await_settled(
+    std::size_t user_id) {
   std::shared_ptr<AdmissionJoin> join;
   {
     std::lock_guard<std::mutex> lock(admissions_mu_);
     auto it = admissions_.find(user_id);
     if (it != admissions_.end()) join = it->second;
   }
+  if (join != nullptr) {
+    std::unique_lock<std::mutex> lock(join->mu);
+    join->cv.wait(lock, [&join] { return join->settled; });
+  }
+  return join;
+}
+
+void ServingEngine::wait_admitted(std::size_t user_id) {
+  const std::shared_ptr<AdmissionJoin> join = await_settled(user_id);
   if (join == nullptr) {
     // No admission in flight: either it already settled (user is live) or
     // the user was never admitted / its admission failed and rolled back.
@@ -292,8 +291,8 @@ void ServingEngine::wait_admitted(std::size_t user_id) {
                     "user " << user_id << " has no admission to wait for");
     return;
   }
-  std::unique_lock<std::mutex> lock(join->mu);
-  join->cv.wait(lock, [&join] { return join->settled; });
+  // join->error was last written before `settled`, which await_settled()
+  // observed under join->mu.
   if (join->error != nullptr) std::rethrow_exception(join->error);
 }
 
@@ -305,18 +304,7 @@ void ServingEngine::evict_user(std::size_t user_id) {
   // refuses to evict pending slots). A failed admission rolls itself back,
   // and the evict below then throws unknown-user — same as if the user had
   // never been admitted.
-  {
-    std::shared_ptr<AdmissionJoin> join;
-    {
-      std::lock_guard<std::mutex> lock(admissions_mu_);
-      auto it = admissions_.find(user_id);
-      if (it != admissions_.end()) join = it->second;
-    }
-    if (join != nullptr) {
-      std::unique_lock<std::mutex> jlock(join->mu);
-      join->cv.wait(jlock, [&join] { return join->settled; });
-    }
-  }
+  await_settled(user_id);
   // Unpublish the slot first (new batches stop seeing the user), then drop
   // the deployment (in-flight batches hold their own shared_ptr), then
   // purge the user's decoded prompts. Cache keys carry the admission
@@ -369,38 +357,10 @@ std::size_t ServingEngine::rebalance() {
     }
   };
   // Fan the migrations out as aux tasks: workers run them between (and
-  // with priority over) serving batches, exactly like per-shard retrieval
-  // subtasks — quiesce-free by construction. The enqueue is gated on
-  // running_ && !stopping_ UNDER queue_mu_ (the lock stop() sets stopping_
-  // under): tasks enqueued while that holds are guaranteed a live worker to
-  // drain them (workers empty the aux queue before exiting); otherwise the
-  // migrations run inline on this thread instead of waiting forever.
-  struct Group {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t remaining;
-  } group;
-  group.remaining = plan.size();
-  bool enqueued = false;
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (running_ && !stopping_) {
-      for (const Migration& m : plan)
-        aux_queue_.emplace_back([&migrate_one, &group, m](WorkerState&) {
-          migrate_one(m);
-          std::lock_guard<std::mutex> glock(group.mu);
-          if (--group.remaining == 0) group.cv.notify_all();
-        });
-      enqueued = true;
-    }
-  }
-  if (enqueued) {
-    queue_cv_.notify_all();
-    std::unique_lock<std::mutex> lock(group.mu);
-    group.cv.wait(lock, [&group] { return group.remaining == 0; });
-  } else {
+  // with priority over) serving batches — quiesce-free by construction.
+  if (!run_aux(plan.size(), [&](std::size_t i, WorkerState&) { migrate_one(plan[i]); },
+               nullptr))
     for (const Migration& m : plan) migrate_one(m);
-  }
   stats_.record_rebalance(ms_between(t0, std::chrono::steady_clock::now()));
   return migrated.load();
 }
@@ -464,23 +424,11 @@ void ServingEngine::scrubber_loop() {
     // One round in flight at a time: a tick that lands while a slow repair
     // is still running is skipped, not queued behind it.
     if (scrub_inflight_.exchange(true)) continue;
-    bool enqueued = false;
-    {
-      // Same gate as rebalance(): tasks enqueued while running_ &&
-      // !stopping_ holds UNDER queue_mu_ are guaranteed a live worker to
-      // drain them (workers empty the aux queue before exiting).
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      if (running_ && !stopping_) {
-        aux_queue_.emplace_back([this](WorkerState&) {
+    // A round the pool refuses (stop() has begun) is dropped, not run here.
+    if (!post_aux(1, [this](std::size_t, WorkerState&) {
           scrub_round(cfg_.scrubber.subarrays_per_round);
           scrub_inflight_.store(false);
-        });
-        enqueued = true;
-      }
-    }
-    if (enqueued)
-      queue_cv_.notify_one();
-    else
+        }))
       scrub_inflight_.store(false);
   }
 }
@@ -683,23 +631,6 @@ void ServingEngine::set_rate_limit(std::size_t user_id, double rps) {
   sched_.set_rate_limit(user_id, rps);
 }
 
-std::future<Response> ServingEngine::submit(std::size_t user_id, data::Sample query) {
-  return submit(Request{user_id, std::move(query)}).take_future();
-}
-
-std::optional<std::future<Response>> ServingEngine::try_submit(std::size_t user_id,
-                                                               data::Sample query) {
-  SubmitOptions opts;
-  opts.overload_policy = OverloadPolicy::Reject;
-  RequestHandle handle = submit(Request{user_id, std::move(query)}, std::move(opts));
-  if (!handle.valid()) return std::nullopt;
-  return handle.take_future();
-}
-
-Response ServingEngine::serve(std::size_t user_id, const data::Sample& query) {
-  return submit(Request{user_id, query}).get();
-}
-
 void ServingEngine::worker_loop() {
   using Clock = std::chrono::steady_clock;
   WorkerState ws;
@@ -789,6 +720,146 @@ void ServingEngine::expire_requests(std::vector<QueuedRequest>&& expired) {
                         "request " + std::to_string(r.id) + " for user " +
                         std::to_string(r.user_id) + " expired after " +
                         std::to_string(ms_between(r.enqueued, now)) + " ms queued")));
+  }
+}
+
+template <class OnError>
+void ServingEngine::fetch_prompts(const std::vector<DepRef>& deps,
+                                  const std::vector<std::size_t>& ovt_index,
+                                  std::vector<char>& failed,
+                                  std::vector<std::shared_ptr<const Matrix>>& prompts,
+                                  std::vector<char>& cache_hit, WorkerState& ws,
+                                  OnError on_error) {
+  const std::size_t B = deps.size();
+  using CacheKey = std::pair<std::size_t, std::size_t>;
+  struct LeaderDecode {
+    std::size_t req;  ///< first request index that missed on this key
+    CacheKey key;
+    std::shared_ptr<InFlightDecode> flight;
+    std::shared_ptr<const Matrix> value;
+    std::exception_ptr error;
+  };
+  std::vector<LeaderDecode> leaders;
+  std::vector<std::pair<std::size_t, std::shared_ptr<InFlightDecode>>> followers;
+  // Capacity up front: once a flight is registered in inflight_, the vector
+  // push recording it must not throw, or the key would wedge forever.
+  leaders.reserve(B);
+  followers.reserve(B);
+  {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    for (std::size_t i = 0; i < B; ++i) {
+      if (failed[i]) continue;
+      // Keyed by the admission generation, not the user id: a re-admitted
+      // user id must never see its predecessor's cached prompts.
+      const CacheKey key{deps[i].generation, ovt_index[i]};
+      if (auto hit = cache_.get(key)) {
+        prompts[i] = *hit;
+        cache_hit[i] = 1;
+        continue;
+      }
+      auto it = inflight_.find(key);
+      if (it != inflight_.end()) {
+        // Another worker (or an earlier request of this batch) is already
+        // decoding this key — coalesce onto its flight.
+        ++coalesced_fetches_;
+        followers.emplace_back(i, it->second);
+        continue;
+      }
+      LeaderDecode ld;
+      ld.req = i;
+      ld.key = key;
+      ld.flight = std::make_shared<InFlightDecode>();
+      inflight_.emplace(key, ld.flight);
+      leaders.push_back(std::move(ld));
+    }
+  }
+
+  if (!leaders.empty()) {
+    // Group the missed keys by autoencoder (cross-user groups share one
+    // decoder exactly as the encode stage shares encoders) and decode each
+    // group in a single stacked GEMM. A group failure falls back to per-key
+    // decodes so one bad payload cannot poison its neighbours. The whole
+    // region is fenced: every registered flight MUST reach the completion
+    // loop below — an escaped exception (e.g. bad_alloc in the grouping)
+    // becomes the error of every still-unfinished leader, never a wedged
+    // in-flight key that blocks future fetchers forever.
+    try {
+      std::vector<std::pair<const compress::Autoencoder*, std::vector<std::size_t>>> dgroups;
+      for (std::size_t l = 0; l < leaders.size(); ++l) {
+        const compress::Autoencoder* ae = deps[leaders[l].req].dep->autoencoder.get();
+        auto it = std::find_if(dgroups.begin(), dgroups.end(),
+                               [ae](const auto& g) { return g.first == ae; });
+        if (it == dgroups.end()) {
+          dgroups.emplace_back(ae, std::vector<std::size_t>{});
+          it = std::prev(dgroups.end());
+        }
+        it->second.push_back(l);
+      }
+      for (const auto& [ae, group] : dgroups) {
+        bool fused = false;
+        if (group.size() > 1) {
+          try {
+            ws.decode_parts.clear();
+            ws.decode_parts.reserve(group.size());
+            for (const std::size_t l : group)
+              ws.decode_parts.push_back(
+                  &deps[leaders[l].req].dep->stored_codes[leaders[l].key.second]);
+            stack_rows_into(ws.decode_parts, ws.decode_stacked);
+            ae->decode_into(ws.decode_stacked, ws.decode_out, &ws.encode.autoencoder);
+            std::size_t r0 = 0;
+            for (std::size_t g = 0; g < group.size(); ++g) {
+              const std::size_t rows = ws.decode_parts[g]->rows();
+              leaders[group[g]].value =
+                  std::make_shared<const Matrix>(ws.decode_out.row_slice(r0, r0 + rows));
+              r0 += rows;
+              ++prompt_decodes_;
+            }
+            stats_.record_batched_decode();
+            fused = true;
+          } catch (...) {
+            for (const std::size_t l : group) leaders[l].value.reset();
+          }
+        }
+        if (!fused) {
+          for (const std::size_t l : group) {
+            try {
+              auto owned = std::make_shared<Matrix>();
+              deps[leaders[l].req].dep->decode_prompt_into(leaders[l].key.second, *owned,
+                                                           &ws.encode.autoencoder);
+              leaders[l].value = std::move(owned);
+              ++prompt_decodes_;
+            } catch (...) {
+              leaders[l].error = std::current_exception();
+            }
+          }
+        }
+      }
+    } catch (...) {
+      for (LeaderDecode& ld : leaders)
+        if (!ld.value && !ld.error) ld.error = std::current_exception();
+    }
+    for (LeaderDecode& ld : leaders) {
+      complete_decode_flight(ld.key, ld.flight, ld.value, ld.error);
+      if (ld.error) {
+        failed[ld.req] = 1;
+        on_error(ld.req, ld.error);
+      } else {
+        prompts[ld.req] = ld.value;
+      }
+    }
+  }
+
+  for (auto& [i, flight] : followers) {
+    try {
+      std::unique_lock<std::mutex> lock(flight->mu);
+      flight->cv.wait(lock, [&flight] { return flight->done; });
+      if (flight->error) std::rethrow_exception(flight->error);
+      prompts[i] = flight->value;
+      cache_hit[i] = 1;  // shared the leader's decode
+    } catch (...) {
+      failed[i] = 1;
+      on_error(i, std::current_exception());
+    }
   }
 }
 
@@ -1004,201 +1075,25 @@ void ServingEngine::process_batch(std::vector<QueuedRequest>&& batch, WorkerStat
   for (std::size_t shard = 0; shard < by_shard.size(); ++shard)
     if (!by_shard[shard].empty()) active_shards.push_back(shard);
 
-  if (cfg_.parallel_retrieval && active_shards.size() > 1) {
+  const auto shard_task = [&](std::size_t k, WorkerState& tws) {
+    retrieve_shard(active_shards[k], tws);
+  };
+  if (active_shards.size() > 1 && run_aux(active_shards.size(), shard_task, &ws))
     stats_.record_parallel_fanout();
-    struct Group {
-      std::mutex mu;
-      std::condition_variable cv;
-      std::size_t remaining;
-    } group;
-    group.remaining = active_shards.size();
-    const auto finish_one = [&group] {
-      std::lock_guard<std::mutex> lock(group.mu);
-      if (--group.remaining == 0) group.cv.notify_all();
-    };
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      for (const std::size_t shard : active_shards)
-        aux_queue_.emplace_back([&retrieve_shard, &finish_one, shard](WorkerState& tws) {
-          retrieve_shard(shard, tws);
-          finish_one();
-        });
-    }
-    queue_cv_.notify_all();
-    // Help until this group is done: execute aux tasks (ours or another
-    // batch's) while any are queued; once every remaining task is claimed by
-    // some worker, wait for the group's completion signal. Tasks never
-    // block, so helping cannot deadlock — with one worker this degenerates
-    // to the serial loop.
-    for (;;) {
-      {
-        std::lock_guard<std::mutex> lock(group.mu);
-        if (group.remaining == 0) break;
-      }
-      AuxTask task;
-      {
-        std::lock_guard<std::mutex> lock(queue_mu_);
-        if (!aux_queue_.empty()) {
-          task = std::move(aux_queue_.front());
-          aux_queue_.pop_front();
-        }
-      }
-      if (task) {
-        task(ws);
-        continue;
-      }
-      std::unique_lock<std::mutex> lock(group.mu);
-      group.cv.wait(lock, [&group] { return group.remaining == 0; });
-      break;
-    }
-  } else {
+  else
     for (const std::size_t shard : active_shards) retrieve_shard(shard, ws);
-  }
   const Clock::time_point retrieve_t0 = tick;
   const double retrieve_ms = lap();
   trace_stage("retrieve", retrieve_t0, tick);
 
-  // ---- Stage 3: decoded-prompt fetch through the cache. One lock pass
-  // probes the cache and registers this worker as the single-flight leader
-  // for every distinct missed key; the batch's missed payload rows then
-  // stack into ONE decode GEMM per shared autoencoder (rows are independent
-  // under decode, so results are bit-identical to per-key decodes), results
-  // land in the cache, flights complete, and followers of other workers'
-  // flights wait last — leaders never block on followers, so the order is
-  // deadlock-free.
+  // ---- Stage 3: decoded-prompt fetch through the cache (single-flight,
+  // one stacked decode GEMM per shared autoencoder).
   std::vector<std::shared_ptr<const Matrix>> prompts(B);
   std::vector<char> cache_hit(B, 0);
-  using CacheKey = std::pair<std::size_t, std::size_t>;
-  struct LeaderDecode {
-    std::size_t req;  ///< first request index that missed on this key
-    CacheKey key;
-    std::shared_ptr<InFlightDecode> flight;
-    std::shared_ptr<const Matrix> value;
-    std::exception_ptr error;
-  };
-  std::vector<LeaderDecode> leaders;
-  std::vector<std::pair<std::size_t, std::shared_ptr<InFlightDecode>>> followers;
-  // Capacity up front: once a flight is registered in inflight_, the vector
-  // push recording it must not throw, or the key would wedge forever.
-  leaders.reserve(B);
-  followers.reserve(B);
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    for (std::size_t i = 0; i < B; ++i) {
-      if (failed[i]) continue;
-      // Keyed by the admission generation, not the user id: a re-admitted
-      // user id must never see its predecessor's cached prompts.
-      const CacheKey key{deps[i].generation, ovt_index[i]};
-      if (auto hit = cache_.get(key)) {
-        prompts[i] = *hit;
-        cache_hit[i] = 1;
-        continue;
-      }
-      auto it = inflight_.find(key);
-      if (it != inflight_.end()) {
-        // Another worker (or an earlier request of this batch) is already
-        // decoding this key — coalesce onto its flight.
-        ++coalesced_fetches_;
-        followers.emplace_back(i, it->second);
-        continue;
-      }
-      LeaderDecode ld;
-      ld.req = i;
-      ld.key = key;
-      ld.flight = std::make_shared<InFlightDecode>();
-      inflight_.emplace(key, ld.flight);
-      leaders.push_back(std::move(ld));
-    }
-  }
-
-  if (!leaders.empty()) {
-    // Group the missed keys by autoencoder (cross-user groups share one
-    // decoder exactly as the encode stage shares encoders) and decode each
-    // group in a single stacked GEMM. A group failure falls back to per-key
-    // decodes so one bad payload cannot poison its neighbours. The whole
-    // region is fenced: every registered flight MUST reach the completion
-    // loop below — an escaped exception (e.g. bad_alloc in the grouping)
-    // becomes the error of every still-unfinished leader, never a wedged
-    // in-flight key that blocks future fetchers forever.
-    try {
-      std::vector<std::pair<const compress::Autoencoder*, std::vector<std::size_t>>> dgroups;
-      for (std::size_t l = 0; l < leaders.size(); ++l) {
-        const compress::Autoencoder* ae = deps[leaders[l].req].dep->autoencoder.get();
-        auto it = std::find_if(dgroups.begin(), dgroups.end(),
-                               [ae](const auto& g) { return g.first == ae; });
-        if (it == dgroups.end()) {
-          dgroups.emplace_back(ae, std::vector<std::size_t>{});
-          it = std::prev(dgroups.end());
-        }
-        it->second.push_back(l);
-      }
-      for (const auto& [ae, group] : dgroups) {
-        bool fused = false;
-        if (group.size() > 1) {
-          try {
-            ws.decode_parts.clear();
-            ws.decode_parts.reserve(group.size());
-            for (const std::size_t l : group)
-              ws.decode_parts.push_back(
-                  &deps[leaders[l].req].dep->stored_codes[leaders[l].key.second]);
-            stack_rows_into(ws.decode_parts, ws.decode_stacked);
-            ae->decode_into(ws.decode_stacked, ws.decode_out, &ws.encode.autoencoder);
-            std::size_t r0 = 0;
-            for (std::size_t g = 0; g < group.size(); ++g) {
-              const std::size_t rows = ws.decode_parts[g]->rows();
-              leaders[group[g]].value =
-                  std::make_shared<const Matrix>(ws.decode_out.row_slice(r0, r0 + rows));
-              r0 += rows;
-              ++prompt_decodes_;
-            }
-            stats_.record_batched_decode();
-            fused = true;
-          } catch (...) {
-            for (const std::size_t l : group) leaders[l].value.reset();
-          }
-        }
-        if (!fused) {
-          for (const std::size_t l : group) {
-            try {
-              auto owned = std::make_shared<Matrix>();
-              deps[leaders[l].req].dep->decode_prompt_into(leaders[l].key.second, *owned,
-                                                           &ws.encode.autoencoder);
-              leaders[l].value = std::move(owned);
-              ++prompt_decodes_;
-            } catch (...) {
-              leaders[l].error = std::current_exception();
-            }
-          }
-        }
-      }
-    } catch (...) {
-      for (LeaderDecode& ld : leaders)
-        if (!ld.value && !ld.error) ld.error = std::current_exception();
-    }
-    for (LeaderDecode& ld : leaders) {
-      complete_decode_flight(ld.key, ld.flight, ld.value, ld.error);
-      if (ld.error) {
-        if (!failed[ld.req]) {
-          failed[ld.req] = 1;
-          finish_error(batch[ld.req], ld.error);
-        }
-      } else {
-        prompts[ld.req] = ld.value;
-      }
-    }
-  }
-
-  for (auto& [i, flight] : followers) {
-    try {
-      std::unique_lock<std::mutex> lock(flight->mu);
-      flight->cv.wait(lock, [&flight] { return flight->done; });
-      if (flight->error) std::rethrow_exception(flight->error);
-      prompts[i] = flight->value;
-      cache_hit[i] = 1;  // shared the leader's decode
-    } catch (...) {
-      fail(i);
-    }
-  }
+  fetch_prompts(deps, ovt_index, failed, prompts, cache_hit, ws,
+                [&batch](std::size_t i, const std::exception_ptr& error) {
+                  finish_error(batch[i], error);
+                });
   const Clock::time_point decode_t0 = tick;
   const double decode_ms = lap();
   trace_stage("decode", decode_t0, tick);
@@ -1335,57 +1230,6 @@ void ServingEngine::process_batch(std::vector<QueuedRequest>&& batch, WorkerStat
   }
 }
 
-std::shared_ptr<const Matrix> ServingEngine::prompt_locked_fetch(
-    const DepRef& ref, std::size_t ovt_index, bool* was_hit,
-    compress::Autoencoder::Scratch* scratch) {
-  const std::pair<std::size_t, std::size_t> key{ref.generation, ovt_index};
-  std::shared_ptr<InFlightDecode> flight;
-  bool leader = false;
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    if (auto hit = cache_.get(key)) {
-      if (was_hit != nullptr) *was_hit = true;
-      return *hit;
-    }
-    auto it = inflight_.find(key);
-    if (it != inflight_.end()) {
-      flight = it->second;
-    } else {
-      flight = std::make_shared<InFlightDecode>();
-      inflight_.emplace(key, flight);
-      leader = true;
-    }
-  }
-
-  if (!leader) {
-    // Single-flight: another worker is already decoding this key — wait for
-    // its result instead of duplicating the expensive decode.
-    ++coalesced_fetches_;
-    std::unique_lock<std::mutex> lock(flight->mu);
-    flight->cv.wait(lock, [&flight] { return flight->done; });
-    if (flight->error) std::rethrow_exception(flight->error);
-    if (was_hit != nullptr) *was_hit = true;  // shared the leader's decode
-    return flight->value;
-  }
-
-  // Leader: decode outside every lock — the autoencoder decode is the
-  // expensive step the cache exists to amortize, and it is const/thread-safe.
-  std::shared_ptr<const Matrix> decoded;
-  std::exception_ptr error;
-  try {
-    auto owned = std::make_shared<Matrix>();
-    ref.dep->decode_prompt_into(ovt_index, *owned, scratch);
-    decoded = std::move(owned);
-    ++prompt_decodes_;
-  } catch (...) {
-    error = std::current_exception();
-  }
-  complete_decode_flight(key, flight, decoded, error);
-  if (error) std::rethrow_exception(error);
-  if (was_hit != nullptr) *was_hit = false;
-  return decoded;
-}
-
 void ServingEngine::complete_decode_flight(const std::pair<std::size_t, std::size_t>& key,
                                            const std::shared_ptr<InFlightDecode>& flight,
                                            const std::shared_ptr<const Matrix>& value,
@@ -1419,7 +1263,15 @@ std::shared_ptr<const Matrix> ServingEngine::prompt(std::size_t user_id, std::si
   NVCIM_CHECK_MSG(ref.dep != nullptr, "unknown user " << user_id);
   NVCIM_CHECK_MSG(ovt_index < ref.dep->n_ovts(),
                   "OVT " << ovt_index << " out of range for user " << user_id);
-  return prompt_locked_fetch(ref, ovt_index, nullptr, nullptr);
+  std::vector<char> failed(1, 0);
+  std::vector<std::shared_ptr<const Matrix>> out(1);
+  std::vector<char> hit(1, 0);
+  std::exception_ptr error;
+  WorkerState ws;
+  fetch_prompts({ref}, {ovt_index}, failed, out, hit, ws,
+                [&error](std::size_t, const std::exception_ptr& e) { error = e; });
+  if (error) std::rethrow_exception(error);
+  return out[0];
 }
 
 std::size_t ServingEngine::retrieve_serial(std::size_t user_id, const data::Sample& query) {

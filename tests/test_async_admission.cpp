@@ -11,10 +11,10 @@
 //    a synchronous admit_user bit-identically, with spans executed in ANY
 //    order; staged tenants are Pending (not queryable, not evictable,
 //    skipped by the rebalancer) until commit; abort rolls back completely
-//  - engine-level write-behind admission: wait_admitted() joins, results
+//  - engine-level write-behind admission: AdmissionHandle::wait() joins, results
 //    bit-identical to a synchronous-admission engine, untouched tenants
 //    unchanged, stats expose queue depth / batch count / admission latency
-//  - try_admit_user() bounces with Overloaded on the pending-admission
+//  - a non-blocking admit() bounces with Overloaded on the pending-admission
 //    bound instead of blocking; rejected users leave no trace
 //  - evict_user() of an in-flight admission joins it first
 //  - stress: concurrent admit/wait/evict churn, serving traffic and a
@@ -305,12 +305,12 @@ TEST(AsyncAdmission, WriteBehindBitIdenticalToSynchronousEngine) {
   }
 
   // 40 key columns -> several per-subarray programming spans.
-  wb.admit_user(100, f.make_deployment(100, 40));
-  sync.admit_user(100, f.make_deployment(100, 40));
-  wb.wait_admitted(100);
+  serve::AdmissionHandle admitted = wb.admit(100, f.make_deployment(100, 40));
+  sync.admit(100, f.make_deployment(100, 40));
+  admitted.wait();
   EXPECT_TRUE(wb.store().user_live(100));
   // Joining an already-live admission is a no-op, not an error.
-  wb.wait_admitted(100);
+  admitted.wait();
 
   // Deferred == synchronous, bit for bit (same seed, same placement, same
   // per-column noise streams), through both the serial path and the engine.
@@ -318,7 +318,7 @@ TEST(AsyncAdmission, WriteBehindBitIdenticalToSynchronousEngine) {
     const data::Sample probe = f.query(qr);
     const std::size_t want = sync.retrieve_serial(100, probe);
     EXPECT_EQ(wb.retrieve_serial(100, probe), want) << "probe " << t;
-    EXPECT_EQ(wb.serve(100, probe).ovt_index, want) << "probe " << t;
+    EXPECT_EQ(wb.submit({100, probe}).get().ovt_index, want) << "probe " << t;
   }
   // Untouched tenants are bit-identical through the write-behind admit.
   for (std::size_t t = 0; t < probes.size(); ++t)
@@ -332,7 +332,10 @@ TEST(AsyncAdmission, WriteBehindBitIdenticalToSynchronousEngine) {
   EXPECT_LE(s.admission_p50_ms, s.admission_p95_ms);
 
   // No admission to join: unknown users hard-error.
-  EXPECT_THROW(wb.wait_admitted(777), Error);
+  serve::AdmissionHandle gone = wb.admit(777, f.make_deployment(777));
+  gone.wait();
+  wb.evict_user(777);
+  EXPECT_THROW(gone.wait(), Error);
 
   wb.stop();
   sync.stop();
@@ -349,25 +352,27 @@ TEST(AsyncAdmission, TryAdmitBouncesOnPendingBound) {
   // Rapid-fire non-blocking admissions against a bound of one: whichever
   // calls land while a prior admission is still programming bounce with
   // Overloaded and leave no trace.
-  std::vector<std::size_t> accepted, rejected;
+  std::vector<serve::AdmissionHandle> accepted;
+  std::vector<std::size_t> rejected;
   for (std::size_t u = 200; u < 206; ++u) {
-    if (engine.try_admit_user(u, f.make_deployment(u, 24)))
-      accepted.push_back(u);
+    serve::AdmissionHandle h =
+        engine.admit(u, f.make_deployment(u, 24), serve::AdmitOptions{/*non_blocking=*/true});
+    if (h.valid())
+      accepted.push_back(h);
     else
       rejected.push_back(u);
   }
   EXPECT_GE(accepted.size(), 1u);
-  for (const std::size_t u : accepted) {
-    engine.wait_admitted(u);
-    EXPECT_TRUE(engine.store().user_live(u));
+  for (serve::AdmissionHandle& h : accepted) {
+    h.wait();
+    EXPECT_TRUE(engine.store().user_live(h.user_id()));
   }
   for (const std::size_t u : rejected) EXPECT_FALSE(engine.store().has_user(u));
   EXPECT_EQ(engine.stats().rejected_admissions, rejected.size());
 
   // The blocking call waits out the backpressure instead of bouncing.
   if (!rejected.empty()) {
-    engine.admit_user(rejected.front(), f.make_deployment(rejected.front()));
-    engine.wait_admitted(rejected.front());
+    engine.admit(rejected.front(), f.make_deployment(rejected.front())).wait();
     EXPECT_TRUE(engine.store().user_live(rejected.front()));
   }
   engine.stop();
@@ -381,17 +386,16 @@ TEST(AsyncAdmission, EvictJoinsInFlightAdmission) {
 
   // Evict immediately after a write-behind admit: the eviction joins the
   // in-flight programming first, then removes the (fully admitted) tenant.
-  engine.admit_user(300, f.make_deployment(300, 24));
+  engine.admit(300, f.make_deployment(300, 24));
   engine.evict_user(300);
   EXPECT_FALSE(engine.store().has_user(300));
   Rng qr(711);
   // Evicted: submits settle their future with the structured UnknownUser.
-  EXPECT_THROW(engine.submit(300, f.query(qr)).get(), serve::UnknownUser);
+  EXPECT_THROW(engine.submit({300, f.query(qr)}).get(), serve::UnknownUser);
 
   // The id is immediately re-admittable.
-  engine.admit_user(300, f.make_deployment(300));
-  engine.wait_admitted(300);
-  EXPECT_EQ(engine.serve(300, f.query(qr)).user_id, 300u);
+  engine.admit(300, f.make_deployment(300)).wait();
+  EXPECT_EQ(engine.submit({300, f.query(qr)}).get().user_id, 300u);
   engine.stop();
 }
 
@@ -412,9 +416,8 @@ TEST(AsyncAdmission, ConcurrentChurnServingAndRebalance) {
   std::thread churn([&] {
     for (std::size_t i = 0; i < 6; ++i) {
       const std::size_t u = 1000 + i;
-      engine.admit_user(u, f.make_deployment(u, 24));
-      engine.wait_admitted(u);
-      const serve::Response r = engine.submit(u, churn_probes[i]).get();
+      engine.admit(u, f.make_deployment(u, 24)).wait();
+      const serve::Response r = engine.submit({u, churn_probes[i]}).get();
       EXPECT_EQ(r.user_id, u);
       engine.evict_user(u);
     }
@@ -422,7 +425,7 @@ TEST(AsyncAdmission, ConcurrentChurnServingAndRebalance) {
   std::thread traffic([&] {
     std::vector<std::future<serve::Response>> futures;
     for (std::size_t t = 0; t < stable_probes.size(); ++t)
-      futures.push_back(engine.submit(t % 4, stable_probes[t]));
+      futures.push_back(engine.submit({t % 4, stable_probes[t]}).take_future());
     for (std::size_t t = 0; t < futures.size(); ++t) {
       const serve::Response r = futures[t].get();
       EXPECT_EQ(r.user_id, t % 4);
@@ -435,7 +438,7 @@ TEST(AsyncAdmission, ConcurrentChurnServingAndRebalance) {
   EXPECT_EQ(served.load(), stable_probes.size());
 
   // The engine is intact after the churn: stable tenants still serve.
-  EXPECT_EQ(engine.serve(0, stable_probes[0]).user_id, 0u);
+  EXPECT_EQ(engine.submit({0, stable_probes[0]}).get().user_id, 0u);
   const serve::StatsSnapshot s = engine.stats();
   EXPECT_EQ(s.users_admitted, 6u);
   EXPECT_EQ(s.users_evicted, 6u);
@@ -454,9 +457,10 @@ TEST(AsyncAdmission, StopDrainsInFlightAdmissionsDeterministically) {
   // and wait for every admission to settle before returning — no tenant may
   // be left half-programmed.
   std::vector<std::size_t> users;
+  std::vector<serve::AdmissionHandle> handles;
   for (std::size_t i = 0; i < 4; ++i) {
     const std::size_t u = 2000 + i;
-    engine.admit_user(u, f.make_deployment(u, 24));
+    handles.push_back(engine.admit(u, f.make_deployment(u, 24)));
     users.push_back(u);
   }
   engine.stop();
@@ -466,9 +470,44 @@ TEST(AsyncAdmission, StopDrainsInFlightAdmissionsDeterministically) {
   const serve::StatsSnapshot s = engine.stats();
   EXPECT_EQ(s.users_admitted, users.size());
   EXPECT_EQ(s.programming_queue_depth, 0u);
-  // wait_admitted() after the drain is a no-op, not a hang or an error.
-  for (const std::size_t u : users) engine.wait_admitted(u);
+  // Joining after the drain is a no-op, not a hang or an error.
+  for (serve::AdmissionHandle& h : handles) h.wait();
   engine.stop();  // idempotent
+}
+
+TEST(AsyncAdmission, StoppedEngineRunsPoolWorkInline) {
+  // After stop() there is no pool to run on: admit() programs its spans on
+  // the calling thread, and rebalance()'s migrations, which the pool now
+  // refuses, run there too. Every call returns, and the inline admission
+  // programs the same cells as one programmed on the pool.
+  AsyncEngineFixture f;
+  serve::ServingEngine running(f.model, f.task, f.config(2, 2, 8));
+  serve::ServingEngine stopped(f.model, f.task, f.config(2, 2, 8));
+  for (std::size_t u = 0; u < 4; ++u) {
+    running.add_deployment(u, f.make_deployment(u));
+    stopped.add_deployment(u, f.make_deployment(u));
+  }
+  running.start();
+  stopped.start();
+  stopped.stop();
+
+  running.admit(100, f.make_deployment(100, 40)).wait();
+  serve::AdmissionHandle inline_admit = stopped.admit(100, f.make_deployment(100, 40));
+  ASSERT_TRUE(inline_admit.valid());
+  EXPECT_TRUE(stopped.store().user_live(100));  // settled before admit() returned
+  inline_admit.wait();
+  Rng qr(731);
+  for (int t = 0; t < 6; ++t) {
+    const data::Sample probe = f.query(qr);
+    EXPECT_EQ(stopped.retrieve_serial(100, probe), running.retrieve_serial(100, probe))
+        << "probe " << t;
+  }
+
+  // The 40-key tenant skews the shard loads, so the cycle has work to run.
+  const std::size_t migrated = stopped.rebalance();
+  EXPECT_GT(migrated, 0u);
+  EXPECT_EQ(stopped.stats().migrations, migrated);
+  running.stop();
 }
 
 }  // namespace

@@ -242,7 +242,7 @@ TEST(BatchedEncode, EngineWithSharedAutoencoderMatchesSerialReference) {
   for (const auto& [u, q] : requests) serial.push_back(engine.retrieve_serial(u, q));
 
   std::vector<std::future<serve::Response>> futures;
-  for (const auto& [u, q] : requests) futures.push_back(engine.submit(u, q));
+  for (const auto& [u, q] : requests) futures.push_back(engine.submit({u, q}).take_future());
   for (std::size_t i = 0; i < requests.size(); ++i)
     EXPECT_EQ(futures[i].get().ovt_index, serial[i]) << "request " << i;
   engine.stop();
@@ -266,7 +266,7 @@ TEST(BatchedEncode, SingleMemberBatchThroughEngineMatchesSerial) {
     data::Sample q;
     q.input = random_tokens(1 + qr.uniform_index(8), task.vocab_size(), qr);
     const std::size_t expect = engine.retrieve_serial(0, q);
-    EXPECT_EQ(engine.serve(0, q).ovt_index, expect) << "trial " << t;
+    EXPECT_EQ(engine.submit({0, q}).get().ovt_index, expect) << "trial " << t;
   }
   engine.stop();
 }

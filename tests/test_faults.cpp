@@ -455,7 +455,7 @@ TEST(FaultEngine, ServesThroughFaultStormWithBackgroundScrubber) {
   // before the scrubber's repair lands is flagged degraded, not dropped.
   std::vector<std::future<serve::Response>> futures;
   for (int t = 0; t < 24; ++t)
-    futures.push_back(engine.submit(static_cast<std::size_t>(t) % 4, f.query(qr)));
+    futures.push_back(engine.submit({static_cast<std::size_t>(t) % 4, f.query(qr)}).take_future());
   for (auto& fu : futures) {
     const serve::Response r = fu.get();
     EXPECT_LT(r.user_id, 4u);
@@ -516,7 +516,7 @@ TEST(FaultEngine, ManualScrubRepairsStuckColumnByMigration) {
                                         detect);
   ASSERT_TRUE(engine.store().user_degraded(victim));
   Rng qr(811);
-  const serve::Response degraded_resp = engine.serve(victim, f.query(qr));
+  const serve::Response degraded_resp = engine.submit({victim, f.query(qr)}).get();
   EXPECT_TRUE(degraded_resp.degraded);
   EXPECT_GT(engine.stats().degraded_responses, 0u);
 
@@ -528,7 +528,7 @@ TEST(FaultEngine, ManualScrubRepairsStuckColumnByMigration) {
   EXPECT_EQ(out.migrated_users[0], victim);
   EXPECT_EQ(engine.store().slot(victim).shard, 1u);
   EXPECT_FALSE(engine.store().user_degraded(victim));
-  const serve::Response healthy_resp = engine.serve(victim, f.query(qr));
+  const serve::Response healthy_resp = engine.submit({victim, f.query(qr)}).get();
   EXPECT_FALSE(healthy_resp.degraded);
 
   const serve::StatsSnapshot st = engine.stats();

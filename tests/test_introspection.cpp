@@ -414,7 +414,7 @@ TEST(Introspection, MetricsScrapeByteIdenticalToInProcessExposition) {
   ASSERT_NE(port, 0);
 
   Rng qr(901);
-  for (int t = 0; t < 6; ++t) engine.serve(static_cast<std::size_t>(t) % 2, f.query(qr));
+  for (int t = 0; t < 6; ++t) engine.submit({static_cast<std::size_t>(t) % 2, f.query(qr)}).get();
 
   // The batch worker records its stage-time totals just after fulfilling the
   // response futures, so poll until the traffic quiesces: once it has, the
@@ -512,7 +512,7 @@ TEST(Introspection, HealthzCriticalWhenQueueSaturatedAndRecoversOnDrain) {
   Rng qr(911);
   std::vector<std::future<serve::Response>> futures;
   for (int t = 0; t < 4; ++t)
-    futures.push_back(engine.submit(static_cast<std::size_t>(t) % 2, f.query(qr)));
+    futures.push_back(engine.submit({static_cast<std::size_t>(t) % 2, f.query(qr)}).take_future());
 
   // The queue sits at 4/4 while the worker waits out the batch window.
   bool saw_critical = false;
@@ -556,7 +556,7 @@ TEST(Introspection, LatencySloBurnDrivesHealthzCritical) {
   ASSERT_NE(port, 0);
 
   Rng qr(921);
-  for (int t = 0; t < 8; ++t) engine.serve(static_cast<std::size_t>(t) % 2, f.query(qr));
+  for (int t = 0; t < 8; ++t) engine.submit({static_cast<std::size_t>(t) % 2, f.query(qr)}).get();
 
   // 100% bad against a 1% budget: 100x burn in both (warm-up) windows.
   const serve::HealthReport r = engine.health();
@@ -599,7 +599,7 @@ TEST(Introspection, EvictedTenantSeriesRetiredFromLiveExposition) {
   engine.start();
 
   Rng qr(931);
-  for (int t = 0; t < 6; ++t) engine.serve(static_cast<std::size_t>(t) % 3, f.query(qr));
+  for (int t = 0; t < 6; ++t) engine.submit({static_cast<std::size_t>(t) % 3, f.query(qr)}).get();
   std::string text = engine.metrics().prometheus_text();
   EXPECT_NE(text.find("tenant=\"0\""), std::string::npos);
 
@@ -610,9 +610,8 @@ TEST(Introspection, EvictedTenantSeriesRetiredFromLiveExposition) {
   EXPECT_EQ(engine.stats().tenants_retired, 1u);
 
   // Re-admission revives the labelled series from zero.
-  engine.admit_user(0, f.make_deployment(0));
-  engine.wait_admitted(0);
-  engine.serve(0, f.query(qr));
+  engine.admit(0, f.make_deployment(0)).wait();
+  engine.submit({0, f.query(qr)}).get();
   text = engine.metrics().prometheus_text();
   EXPECT_NE(text.find("nvcim_tenant_requests_total{tenant=\"0\"} 1"), std::string::npos);
   engine.stop();

@@ -13,7 +13,8 @@
 //  - two-phase recall stays >= 0.95 for users admitted via router refresh
 //  - the engine serves through admits/evictions/rebalances (parallel shard
 //    fan-out on), with lifecycle counters in EngineStats
-//  - try_submit() returns Overloaded instead of blocking on a full queue
+//  - submit() under OverloadPolicy::Reject returns Overloaded instead of
+//    blocking on a full queue
 //  - add_user() after build(): hard error without lifecycle, live admission
 //    with it.
 //
@@ -489,9 +490,10 @@ TEST(LifecycleEngine, AdmitAndEvictWhileServing) {
   }
 
   // Live admission mid-serve: the new user is immediately servable.
-  engine.admit_user(100, f.make_deployment(100));
+  engine.admit(100, f.make_deployment(100));
   std::vector<std::future<serve::Response>> futures;
-  for (int t = 0; t < 8; ++t) futures.push_back(engine.submit(100, f.query(qr)));
+  for (int t = 0; t < 8; ++t)
+    futures.push_back(engine.submit({100, f.query(qr)}).take_future());
   for (auto& fu : futures) {
     const serve::Response r = fu.get();
     EXPECT_EQ(r.user_id, 100u);
@@ -499,17 +501,17 @@ TEST(LifecycleEngine, AdmitAndEvictWhileServing) {
   }
   // Admitted results match the serial reference path (same banks).
   const data::Sample probe100 = f.query(qr);
-  EXPECT_EQ(engine.serve(100, probe100).ovt_index, engine.retrieve_serial(100, probe100));
+  EXPECT_EQ(engine.submit({100, probe100}).get().ovt_index, engine.retrieve_serial(100, probe100));
 
   // Live eviction: in-flight traffic drains, then submits are rejected.
   engine.evict_user(2);
-  EXPECT_THROW(engine.submit(2, f.query(qr)).get(), serve::UnknownUser);
+  EXPECT_THROW(engine.submit({2, f.query(qr)}).get(), serve::UnknownUser);
   EXPECT_FALSE(engine.store().has_user(2));
 
   // Untouched users are bit-identical through the whole churn.
   for (std::size_t t = 0; t < probes.size(); ++t) {
     EXPECT_EQ(engine.retrieve_serial(0, probes[t]), expected[t]) << "probe " << t;
-    EXPECT_EQ(engine.serve(0, probes[t]).ovt_index, expected[t]) << "probe " << t;
+    EXPECT_EQ(engine.submit({0, probes[t]}).get().ovt_index, expected[t]) << "probe " << t;
   }
 
   const serve::StatsSnapshot s = engine.stats();
@@ -549,7 +551,7 @@ TEST(LifecycleEngine, RebalanceDuringParallelServingKeepsResults) {
   // on the same worker pool, parallel shard fan-out on).
   std::vector<std::future<serve::Response>> futures;
   for (std::size_t t = 0; t < probes.size(); ++t)
-    futures.push_back(engine.submit(users[t], probes[t]));
+    futures.push_back(engine.submit({users[t], probes[t]}).take_future());
   const std::size_t migrated = engine.rebalance();
   EXPECT_GT(migrated, 0u);
   EXPECT_GT(engine.store().shard_occupied(1), 0u);
@@ -587,19 +589,21 @@ TEST(LifecycleEngine, TrySubmitOverloadedInsteadOfBlocking) {
   engine.start();
 
   Rng qr(521);
-  auto f1 = engine.try_submit(0, f.query(qr));
-  ASSERT_TRUE(f1.has_value());  // room in the queue → accepted
-  auto f2 = engine.try_submit(1, f.query(qr));
-  ASSERT_TRUE(f2.has_value());
+  serve::SubmitOptions reject;
+  reject.overload_policy = serve::OverloadPolicy::Reject;
+  serve::RequestHandle f1 = engine.submit({0, f.query(qr)}, reject);
+  ASSERT_TRUE(f1.valid());  // room in the queue → accepted
+  serve::RequestHandle f2 = engine.submit({1, f.query(qr)}, reject);
+  ASSERT_TRUE(f2.valid());
   // Queue is at capacity and the worker is inside its batch window: a
-  // blocking submit would stall here — try_submit reports Overloaded.
-  auto f3 = engine.try_submit(0, f.query(qr));
-  EXPECT_FALSE(f3.has_value());
+  // blocking submit would stall here — Reject reports Overloaded.
+  serve::RequestHandle f3 = engine.submit({0, f.query(qr)}, reject);
+  EXPECT_FALSE(f3.valid());
   EXPECT_EQ(engine.stats().rejected_requests, 1u);
 
   // The accepted requests still complete (window expiry flushes them).
-  (void)f1->get();
-  (void)f2->get();
+  (void)f1.get();
+  (void)f2.get();
   engine.stop();
 }
 
@@ -612,12 +616,13 @@ TEST(LifecycleEngine, TwoPhaseServingAcrossAdmissions) {
   for (std::size_t u = 0; u < 4; ++u) engine.add_deployment(u, f.make_deployment(u, 16));
   engine.start();
 
-  engine.admit_user(200, f.make_deployment(200, 16));
+  engine.admit(200, f.make_deployment(200, 16));
   Rng qr(531);
   for (int t = 0; t < 10; ++t) {
     const std::size_t u = t % 2 == 0 ? 200u : 1u;
     const data::Sample q = f.query(qr);
-    EXPECT_EQ(engine.serve(u, q).ovt_index, engine.retrieve_serial(u, q)) << "request " << t;
+    EXPECT_EQ(engine.submit({u, q}).get().ovt_index, engine.retrieve_serial(u, q))
+        << "request " << t;
   }
   const serve::StatsSnapshot s = engine.stats();
   EXPECT_GT(s.candidates_examined, 0u);

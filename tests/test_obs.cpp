@@ -399,7 +399,7 @@ TEST(ObsEngine, QueueSplitPercentilesAndFrozenThroughput) {
     requests.emplace_back(0u, f.task.sample(qr.uniform_index(f.task.config().n_domains), qr));
   std::vector<std::future<serve::Response>> futs;
   futs.reserve(requests.size());
-  for (const auto& [u, q] : requests) futs.push_back(engine.submit(u, q));
+  for (const auto& [u, q] : requests) futs.push_back(engine.submit({u, q}).take_future());
   std::vector<double> exact;
   for (auto& fu : futs) exact.push_back(fu.get().latency_ms);
   engine.stop();
@@ -444,8 +444,10 @@ TEST(ObsEngine, TraceLinksRequestBatchStageAndShardSpans) {
   Rng qr(43);
   std::vector<std::future<serve::Response>> futs;
   for (int i = 0; i < 12; ++i)
-    futs.push_back(engine.submit(static_cast<std::size_t>(i % 2),
-                                 f.task.sample(qr.uniform_index(f.task.config().n_domains), qr)));
+    futs.push_back(engine
+                       .submit({static_cast<std::size_t>(i % 2),
+                                f.task.sample(qr.uniform_index(f.task.config().n_domains), qr)})
+                       .take_future());
   for (auto& fu : futs) fu.get();
   engine.stop();
 
@@ -485,7 +487,9 @@ TEST(ObsEngine, SlowRequestExemplarsAndExposition) {
   Rng qr(44);
   std::vector<std::future<serve::Response>> futs;
   for (int i = 0; i < 6; ++i)
-    futs.push_back(engine.submit(0, f.task.sample(qr.uniform_index(f.task.config().n_domains), qr)));
+    futs.push_back(
+        engine.submit({0, f.task.sample(qr.uniform_index(f.task.config().n_domains), qr)})
+            .take_future());
   for (auto& fu : futs) fu.get();
   engine.stop();
 

@@ -7,7 +7,8 @@
 //  - allocation-free scratch variants (query_batch_into, scores_batch_into)
 //    against their allocating counterparts
 //  - determinism of the parallel per-shard retrieve fan-out against the
-//    serial shard loop under a seeded engine, plus per-shard stats.
+//    serial reference path (retrieve_serial) under a seeded engine, plus
+//    per-shard stats.
 
 #include <gtest/gtest.h>
 
@@ -304,13 +305,11 @@ struct ParallelFixture {
     return d;
   }
 
-  serve::ServingConfig config(bool parallel, std::size_t shards, std::size_t threads,
-                              std::size_t batch) const {
+  serve::ServingConfig config(std::size_t shards, std::size_t threads, std::size_t batch) const {
     serve::ServingConfig cfg;
     cfg.n_shards = shards;
     cfg.n_threads = threads;
     cfg.max_batch = batch;
-    cfg.parallel_retrieval = parallel;
     cfg.crossbar.rows = 96;
     cfg.crossbar.cols = 32;
     cfg.variation = {nvm::fefet3(), 0.1};
@@ -318,16 +317,20 @@ struct ParallelFixture {
     return cfg;
   }
 
-  std::vector<std::size_t> run(bool parallel, std::size_t shards, std::size_t threads,
-                               std::size_t batch,
+  /// Serve `reqs` and return the served OVT indices; `serial` (if given)
+  /// receives the same engine's retrieve_serial() answers.
+  std::vector<std::size_t> run(std::size_t shards, std::size_t threads, std::size_t batch,
                                const std::vector<std::pair<std::size_t, data::Sample>>& reqs,
-                               std::size_t n_users, serve::StatsSnapshot* stats = nullptr) {
-    serve::ServingEngine engine(model, task, config(parallel, shards, threads, batch));
+                               std::size_t n_users, serve::StatsSnapshot* stats = nullptr,
+                               std::vector<std::size_t>* serial = nullptr) {
+    serve::ServingEngine engine(model, task, config(shards, threads, batch));
     for (std::size_t u = 0; u < n_users; ++u) engine.add_deployment(u, make_deployment(u));
     engine.start();
+    if (serial != nullptr)
+      for (const auto& [u, q] : reqs) serial->push_back(engine.retrieve_serial(u, q));
     std::vector<std::future<serve::Response>> futures;
     futures.reserve(reqs.size());
-    for (const auto& [u, q] : reqs) futures.push_back(engine.submit(u, q));
+    for (const auto& [u, q] : reqs) futures.push_back(engine.submit({u, q}).take_future());
     std::vector<std::size_t> out;
     out.reserve(reqs.size());
     for (auto& f : futures) out.push_back(f.get().ovt_index);
@@ -347,20 +350,16 @@ TEST(ParallelRetrieval, DeterministicAndIdenticalToSerialShardLoop) {
     reqs.emplace_back(u, f.task.sample(qr.uniform_index(f.task.config().n_domains), qr));
   }
 
-  serve::StatsSnapshot serial_stats, parallel_stats;
-  const std::vector<std::size_t> serial =
-      f.run(/*parallel=*/false, /*shards=*/4, /*threads=*/4, /*batch=*/16, reqs, n_users,
-            &serial_stats);
+  std::vector<std::size_t> serial;
   const std::vector<std::size_t> parallel =
-      f.run(/*parallel=*/true, 4, 4, 16, reqs, n_users, &parallel_stats);
-  const std::vector<std::size_t> parallel_again = f.run(true, 4, 4, 16, reqs, n_users);
+      f.run(/*shards=*/4, /*threads=*/4, /*batch=*/16, reqs, n_users, nullptr, &serial);
+  const std::vector<std::size_t> parallel_again = f.run(4, 4, 16, reqs, n_users);
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i], parallel[i]) << "request " << i;
     EXPECT_EQ(parallel[i], parallel_again[i]) << "request " << i << " (rerun)";
   }
-  EXPECT_EQ(serial_stats.parallel_retrieve_fanouts, 0u);
 }
 
 TEST(ParallelRetrieval, SingleWorkerSelfHelpStillCorrect) {
@@ -375,8 +374,8 @@ TEST(ParallelRetrieval, SingleWorkerSelfHelpStillCorrect) {
     const std::size_t u = qr.uniform_index(n_users);
     reqs.emplace_back(u, f.task.sample(qr.uniform_index(f.task.config().n_domains), qr));
   }
-  const std::vector<std::size_t> serial = f.run(false, 4, 1, 16, reqs, n_users);
-  const std::vector<std::size_t> parallel = f.run(true, 4, 1, 16, reqs, n_users);
+  std::vector<std::size_t> serial;
+  const std::vector<std::size_t> parallel = f.run(4, 1, 16, reqs, n_users, nullptr, &serial);
   for (std::size_t i = 0; i < serial.size(); ++i)
     EXPECT_EQ(serial[i], parallel[i]) << "request " << i;
 }
@@ -393,7 +392,7 @@ TEST(ParallelRetrieval, BatchCoalescingServesEverythingAndMatchesSerial) {
     const std::size_t u = qr.uniform_index(n_users);
     reqs.emplace_back(u, f.task.sample(qr.uniform_index(f.task.config().n_domains), qr));
   }
-  serve::ServingConfig cfg = f.config(/*parallel=*/true, 4, 2, 16);
+  serve::ServingConfig cfg = f.config(4, 2, 16);
   cfg.min_batch = 16;
   cfg.batch_window_ms = 5.0;
   serve::ServingEngine engine(f.model, f.task, cfg);
@@ -402,7 +401,7 @@ TEST(ParallelRetrieval, BatchCoalescingServesEverythingAndMatchesSerial) {
   std::vector<std::size_t> serial;
   for (const auto& [u, q] : reqs) serial.push_back(engine.retrieve_serial(u, q));
   std::vector<std::future<serve::Response>> futures;
-  for (const auto& [u, q] : reqs) futures.push_back(engine.submit(u, q));
+  for (const auto& [u, q] : reqs) futures.push_back(engine.submit({u, q}).take_future());
   for (std::size_t i = 0; i < reqs.size(); ++i)
     EXPECT_EQ(futures[i].get().ovt_index, serial[i]) << "request " << i;
   engine.stop();
@@ -418,7 +417,7 @@ TEST(ParallelRetrieval, PerShardTimingsAndFanoutsRecorded) {
     reqs.emplace_back(u, f.task.sample(qr.uniform_index(f.task.config().n_domains), qr));
   }
   serve::StatsSnapshot s;
-  (void)f.run(true, 4, 4, 16, reqs, n_users, &s);
+  (void)f.run(4, 4, 16, reqs, n_users, &s);
   ASSERT_EQ(s.requests, reqs.size());
   // 12 users over 4 shards → every shard holds users; batches of 16 random
   // users span >1 shard essentially surely, so fan-outs and per-shard

@@ -233,7 +233,7 @@ struct TwoPhaseFixture {
     engine.start();
     std::vector<std::future<serve::Response>> futures;
     futures.reserve(reqs.size());
-    for (const auto& [u, q] : reqs) futures.push_back(engine.submit(u, q));
+    for (const auto& [u, q] : reqs) futures.push_back(engine.submit({u, q}).take_future());
     std::vector<std::size_t> out;
     out.reserve(reqs.size());
     for (auto& f : futures) out.push_back(f.get().ovt_index);
@@ -364,8 +364,8 @@ TEST(TwoPhase, ParallelShardFanoutWithMasksDeterministic) {
   const std::size_t n_users = 12;
   const auto reqs = f.requests(64, n_users, 341);
 
-  serve::ServingConfig serial_cfg = f.config(true, 2, 4, 4, 16);
-  serial_cfg.parallel_retrieval = false;
+  // One worker runs every shard pass of a batch itself: the serial arm.
+  serve::ServingConfig serial_cfg = f.config(true, 2, 4, 1, 16);
   serve::ServingConfig parallel_cfg = f.config(true, 2, 4, 4, 16);
 
   const std::vector<std::size_t> serial = f.run(serial_cfg, reqs, n_users);
@@ -407,7 +407,7 @@ TEST(BatchedDecode, StackedDecodeBitIdenticalToPerKeyDecode) {
     data::Sample q;
     q.input = random_tokens2(1 + qr.uniform_index(8), f.task.vocab_size(), qr);
     users.push_back(u);
-    futures.push_back(engine.submit(u, q));
+    futures.push_back(engine.submit({u, q}).take_future());
   }
   std::vector<std::size_t> got;
   for (auto& fu : futures) got.push_back(fu.get().ovt_index);
@@ -465,7 +465,7 @@ TEST(BatchedClassify, EngineLabelsMatchSerialClassify) {
 
   const auto reqs = f.requests(24, n_users, 371);
   std::vector<std::future<serve::Response>> futures;
-  for (const auto& [u, q] : reqs) futures.push_back(engine.submit(u, q));
+  for (const auto& [u, q] : reqs) futures.push_back(engine.submit({u, q}).take_future());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     const serve::Response resp = futures[i].get();
     ASSERT_TRUE(resp.has_label);
