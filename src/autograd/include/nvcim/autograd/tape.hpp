@@ -101,11 +101,13 @@ class Tape {
 
   /// Accumulate gradients of `result` (must be 1×1) into every
   /// requires_grad node reachable from it. Gradients are zeroed first.
+  /// Only leaves keep their gradients after backward(): an op node's
+  /// gradient is released once it has been propagated to its inputs.
   void backward(Var result);
 
   const Matrix& value(Var v) const;
   const Matrix& grad(Var v) const;
-  /// True if backward() deposited a gradient on this node.
+  /// True if backward() left a gradient on this node (leaves only).
   bool has_grad(Var v) const;
 
  private:

@@ -60,7 +60,12 @@ void Tape::backward(Var result) {
   grad_ref(result.index()).fill(1.0f);
   for (std::size_t i = result.index() + 1; i-- > 0;) {
     Node& n = nodes_[i];
-    if (n.requires_grad && n.grad_alloc && n.backward_fn) n.backward_fn();
+    if (!n.requires_grad || !n.grad_alloc || !n.backward_fn) continue;
+    n.backward_fn();
+    // Every consumer of node i sits later on the tape and has already run,
+    // so nothing reads this gradient again: release it. Leaves keep theirs.
+    n.grad = Matrix();
+    n.grad_alloc = false;
   }
 }
 

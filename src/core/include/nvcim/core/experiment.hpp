@@ -58,6 +58,12 @@ class ExperimentContext {
   /// Mean task metric (accuracy or ROUGE-1) of a method on a device at the
   /// given variation scale.
   double evaluate(const MethodSpec& method, const nvm::DeviceModel& device, double sigma);
+  /// Runs the cell's users in parallel, one thread per hardware thread at
+  /// most (the caller is one of them): OVT training per (user,
+  /// representative), then each user's storage, retrieval and
+  /// classification. A serial merge then walks users and queries in order,
+  /// so the result is bit-identical to a one-thread loop; generation tasks
+  /// also sample there, drawing the evaluation RNG in that order.
   CellResult evaluate_detailed(const MethodSpec& method, const nvm::DeviceModel& device,
                                double sigma);
 
@@ -75,7 +81,14 @@ class ExperimentContext {
     std::map<std::string, std::vector<Matrix>> ovt_cache;
   };
 
-  const std::vector<Matrix>& ovts_for(UserState& u, bool noise_aware, double sigma);
+  friend class ExperimentFanoutPeer;  ///< tests: evaluate at a chosen width
+
+  /// evaluate_detailed() with the user fan-out `width` threads wide.
+  CellResult evaluate_fanout(const MethodSpec& method, const nvm::DeviceModel& device,
+                             double sigma, std::size_t width);
+  /// Fills the OVT cache of every user that lacks this NT setting, one
+  /// parallel work item per (user, representative).
+  void train_missing_ovts(bool noise_aware, double sigma, std::size_t width);
   static std::string cache_key(bool noise_aware, double sigma);
 
   ExperimentOptions opts_;

@@ -1,8 +1,14 @@
 #include "nvcim/core/experiment.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <exception>
+#include <functional>
+#include <mutex>
 #include <sstream>
+#include <system_error>
+#include <thread>
 
 namespace nvcim::core {
 
@@ -28,6 +34,36 @@ compress::AutoencoderConfig make_ae_config(std::size_t d_model) {
   cfg.hidden_dim = 2 * d_model;
   cfg.steps = 800;
   return cfg;
+}
+
+/// Runs fn(i) for every i in [0, n) on up to `width` threads, the caller
+/// being one of them; threads claim items from a shared counter. Rethrows
+/// the first exception once every thread has joined.
+void fan_out(std::size_t n, std::size_t width, const std::function<void(std::size_t)>& fn) {
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mu;
+  std::exception_ptr error;
+  auto worker = [&] {
+    for (std::size_t i = next++; i < n; i = next++) {
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (!error) error = std::current_exception();
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  for (std::size_t t = 1; t < std::min(width, n); ++t) {
+    try {
+      threads.emplace_back(worker);
+    } catch (const std::system_error&) {
+      break;  // fewer threads; the caller still drains every item
+    }
+  }
+  worker();
+  for (std::thread& t : threads) t.join();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace
@@ -84,12 +120,8 @@ std::string ExperimentContext::cache_key(bool noise_aware, double sigma) {
   return os.str();
 }
 
-const std::vector<Matrix>& ExperimentContext::ovts_for(UserState& u, bool noise_aware,
-                                                       double sigma) {
+void ExperimentContext::train_missing_ovts(bool noise_aware, double sigma, std::size_t width) {
   const std::string key = cache_key(noise_aware, sigma);
-  auto it = u.ovt_cache.find(key);
-  if (it != u.ovt_cache.end()) return it->second;
-
   llm::TunerConfig tcfg;
   tcfg.n_virtual_tokens = opts_.n_virtual_tokens;
   tcfg.steps = opts_.tuner_steps;
@@ -99,8 +131,19 @@ const std::vector<Matrix>& ExperimentContext::ovts_for(UserState& u, bool noise_
     tcfg.perturb = make_noise_hook(bands);
   }
 
-  std::vector<Matrix> ovts;
-  for (std::size_t ri = 0; ri < u.rep_indices.size(); ++ri) {
+  // One work item per (user, representative): each tuner has its own seed,
+  // so the items are independent and their order does not matter.
+  std::vector<std::pair<std::size_t, std::size_t>> items;
+  for (std::size_t ui = 0; ui < users_.size(); ++ui) {
+    if (users_[ui].ovt_cache.count(key) != 0) continue;
+    users_[ui].ovt_cache[key];  // users without representatives cache an empty set
+    for (std::size_t ri = 0; ri < users_[ui].rep_indices.size(); ++ri)
+      items.emplace_back(ui, ri);
+  }
+  std::vector<Matrix> trained(items.size());
+  fan_out(items.size(), width, [&](std::size_t i) {
+    const UserState& u = users_[items[i].first];
+    const std::size_t ri = items[i].second;
     const data::Sample& rep = u.data.train[u.rep_indices[ri]];
     std::vector<llm::TrainExample> members;
     for (const std::size_t mi : u.cluster_members[ri])
@@ -111,10 +154,10 @@ const std::vector<Matrix>& ExperimentContext::ovts_for(UserState& u, bool noise_
     // (paired comparison — lowers cross-method variance).
     cfg_i.seed = opts_.seed ^ (u.data.user_id * 977ull + ri * 131ull);
     cfg_i.init = resample_rows(model_.embed(rep.input), cfg_i.n_virtual_tokens);
-    llm::SoftPromptTuner tuner(cfg_i);
-    ovts.push_back(tuner.train(model_, members));
-  }
-  return u.ovt_cache.emplace(key, std::move(ovts)).first->second;
+    trained[i] = llm::SoftPromptTuner(cfg_i).train(model_, members);
+  });
+  for (std::size_t i = 0; i < items.size(); ++i)
+    users_[items[i].first].ovt_cache[key].push_back(std::move(trained[i]));
 }
 
 double ExperimentContext::evaluate(const MethodSpec& method, const nvm::DeviceModel& device,
@@ -124,16 +167,34 @@ double ExperimentContext::evaluate(const MethodSpec& method, const nvm::DeviceMo
 
 ExperimentContext::CellResult ExperimentContext::evaluate_detailed(
     const MethodSpec& method, const nvm::DeviceModel& device, double sigma) {
+  return evaluate_fanout(method, device, sigma,
+                         std::max(1u, std::thread::hardware_concurrency()));
+}
+
+ExperimentContext::CellResult ExperimentContext::evaluate_fanout(
+    const MethodSpec& method, const nvm::DeviceModel& device, double sigma, std::size_t width) {
+  train_missing_ovts(method.noise_aware, sigma, width);
+  const std::string key = cache_key(method.noise_aware, sigma);
+  const bool classification = task_.config().kind == data::TaskKind::Classification;
+
   nvm::VariationModel var{device, sigma};
   auto mit = mitigation::make_mitigation(method.mitigation);
   cim::CrossbarConfig xbar;  // paper defaults: 384×128, 2-bit, int16
 
-  eval::MeanAccumulator acc, match, payload_err;
-  Rng eval_rng(opts_.seed ^ 0xEA71ull);
+  // What one user's work leaves for the merge, in the serial loop's order.
+  struct UserOutcome {
+    std::vector<double> payload_err;  ///< per stored prompt with a nonzero clean norm
+    std::vector<std::size_t> retrieved;  ///< per query: index of the retrieved OVT
+    std::vector<double> acc;          ///< per query (classification only)
+    std::vector<Matrix> prompts;      ///< restored prompts (generation only)
+  };
+  std::vector<UserOutcome> outcomes(users_.size());
 
-  for (UserState& u : users_) {
-    const std::vector<Matrix>& ovts = ovts_for(u, method.noise_aware, sigma);
-    if (ovts.empty()) continue;
+  fan_out(users_.size(), width, [&](std::size_t ui) {
+    const UserState& u = users_[ui];
+    const std::vector<Matrix>& ovts = u.ovt_cache.at(key);
+    if (ovts.empty()) return;
+    UserOutcome& out = outcomes[ui];
 
     // Encode and store: retrieval keys into the search banks, payload codes
     // through the mitigation storage path. Anchored OVTs stay within the
@@ -159,21 +220,40 @@ ExperimentContext::CellResult ExperimentContext::evaluate_detailed(
       const Matrix clean = ae.decode(codes[i]);
       const float denom = clean.frobenius_norm();
       if (denom > 0.0f)
-        payload_err.add((prompts.back() - clean).frobenius_norm() / denom);
+        out.payload_err.push_back((prompts.back() - clean).frobenius_norm() / denom);
     }
 
     for (std::size_t qi = 0; qi < u.data.test.size(); ++qi) {
       const data::Sample& q = u.data.test[qi];
       const std::size_t idx = retriever.retrieve(ae.encode(u.query_raw[qi]));
+      out.retrieved.push_back(idx);
+      if (classification) {
+        const std::size_t pred = model_.classify(q.input, task_.label_ids(), &prompts[idx]);
+        out.acc.push_back(pred == static_cast<std::size_t>(q.label) ? 1.0 : 0.0);
+      }
+    }
+    if (!classification) out.prompts = std::move(prompts);
+  });
+
+  // Merge on this thread in the serial loop's order, so every accumulator
+  // sums the same values in the same order and generation draws eval_rng
+  // exactly as one thread would.
+  eval::MeanAccumulator acc, match, payload_err;
+  Rng eval_rng(opts_.seed ^ 0xEA71ull);
+  for (std::size_t ui = 0; ui < users_.size(); ++ui) {
+    const UserState& u = users_[ui];
+    const UserOutcome& out = outcomes[ui];
+    for (const double e : out.payload_err) payload_err.add(e);
+    for (std::size_t qi = 0; qi < out.retrieved.size(); ++qi) {
+      const data::Sample& q = u.data.test[qi];
+      const std::size_t idx = out.retrieved[qi];
       match.add(u.data.train[u.rep_indices[idx]].domain == q.domain ? 1.0 : 0.0);
-      const Matrix& prompt = prompts[idx];
-      if (task_.config().kind == data::TaskKind::Classification) {
-        const std::size_t pred = model_.classify(q.input, task_.label_ids(), &prompt);
-        acc.add(pred == static_cast<std::size_t>(q.label) ? 1.0 : 0.0);
+      if (classification) {
+        acc.add(out.acc[qi]);
       } else {
         const std::vector<int> hyp =
             model_.generate(q.input, task_.config().gen_len + 2, 0.1f, eval_rng,
-                            task_.eos_id(), &prompt);
+                            task_.eos_id(), &out.prompts[idx]);
         acc.add(eval::rouge1(hyp, data::LampTask::reference_words(q)).f1);
       }
     }

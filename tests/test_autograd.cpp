@@ -286,6 +286,35 @@ TEST(Autograd, DeepChainGradient) {
       test_input(2, 3));
 }
 
+TEST(Autograd, BackwardKeepsOnlyLeafGradients) {
+  // y = mean((x·w) ⊙ c + x·w): h = x·w feeds two ops, so its gradient sums
+  // two contributions before it reaches the leaves.
+  const Matrix x0 = test_input(2, 3, 81), w0 = test_input(3, 4, 83), c0 = test_input(2, 4, 85);
+  Tape t;
+  Var x = t.leaf(x0, true);
+  Var w = t.leaf(w0, true);
+  Var c = t.leaf(c0, false);
+  Var h = t.matmul(x, w);
+  Var m = t.mul(h, c);
+  Var s = t.add(m, h);
+  Var y = t.mean_all(s);
+  t.backward(y);
+
+  for (const Var v : {h, m, s, y}) EXPECT_FALSE(t.has_grad(v)) << "node " << v.index();
+  EXPECT_THROW(h.grad(), Error);
+  EXPECT_FALSE(t.has_grad(c));
+  ASSERT_TRUE(t.has_grad(x));
+  ASSERT_TRUE(t.has_grad(w));
+
+  // The leaf gradients, built with the same kernels in the tape's order of
+  // accumulation: exactly what a tape that keeps every gradient produces.
+  const float g = 1.0f / 8.0f;
+  Matrix gh(2, 4, g);
+  gh += hadamard(Matrix(2, 4, g), c0);
+  EXPECT_EQ(x.grad().storage(), nvcim::matmul_nt(gh, w0).storage());
+  EXPECT_EQ(w.grad().storage(), nvcim::matmul_tn(x0, gh).storage());
+}
+
 TEST(Autograd, ClearInvalidatesGraph) {
   Tape t;
   Var x = t.leaf(Matrix(1, 1, 1.0f), true);

@@ -461,15 +461,20 @@ TEST(FaultEngine, ServesThroughFaultStormWithBackgroundScrubber) {
     EXPECT_LT(r.user_id, 4u);
   }
 
-  // The background scrubber converges: all degraded columns repaired.
+  // The background scrubber converges: all degraded columns repaired. A
+  // shard reads 0 degraded columns both before its first probe and after
+  // its repair, so wait for one whole-fleet round that started after the
+  // storm settled. scrub_passes counts one pass per subarray and rounds run
+  // one at a time: a round in flight at the snapshot ends within `units`
+  // passes, and the next `units` passes are a round begun after it.
+  std::size_t units = 0;
+  for (std::size_t s = 0; s < engine.store().n_shards(); ++s)
+    units += engine.store().shard_subarrays(s);
+  const std::size_t settled = engine.stats().scrub_passes;
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (std::chrono::steady_clock::now() < deadline) {
-    bool clean = true;
-    for (std::size_t s = 0; s < engine.store().n_shards(); ++s)
-      clean = clean && engine.store().degraded_columns(s) == 0;
-    if (clean && engine.stats().scrub_passes > 0) break;
+  while (std::chrono::steady_clock::now() < deadline &&
+         engine.stats().scrub_passes < settled + 2 * units)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
   for (std::size_t s = 0; s < engine.store().n_shards(); ++s)
     EXPECT_EQ(engine.store().degraded_columns(s), 0u) << "shard " << s;
 
